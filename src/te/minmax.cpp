@@ -5,7 +5,6 @@
 #include <cstring>
 #include <map>
 #include <numeric>
-#include <set>
 #include <tuple>
 #include <stdexcept>
 
@@ -18,29 +17,72 @@ namespace prete::te {
 
 namespace {
 
-// Fraction of flow f's demand carried by tunnels surviving scenario q under
-// the given allocations.
+// Which tunnels survive which scenario: row q holds one flag per tunnel.
+// Built once per solve from TunnelSet::alive (the single survival rule), so
+// every per-(flow, scenario) question afterwards is a lookup instead of a
+// walk of each tunnel's links against the scenario's fiber bitmap.
+struct SurvivalTable {
+  std::size_t num_tunnels = 0;
+  std::vector<char> alive;  // alive[q * num_tunnels + t]
+
+  const char* row(std::size_t q) const {
+    return alive.data() + q * num_tunnels;
+  }
+};
+
+// Scenario sources are pluggable, so a fiber bitmap of the wrong length is
+// outside input: it is rejected here, before TunnelSet::alive indexes it.
+SurvivalTable build_survival_table(const TeProblem& problem,
+                                   const ScenarioSet& scenarios) {
+  const net::Network& network = *problem.network;
+  const auto& Q = scenarios.scenarios;
+  for (const FailureScenario& scenario : Q) {
+    if (scenario.fiber_failed.size() !=
+        static_cast<std::size_t>(network.num_fibers())) {
+      throw std::invalid_argument(
+          "scenario fiber_failed size differs from the network's fiber count");
+    }
+  }
+  SurvivalTable table;
+  table.num_tunnels = static_cast<std::size_t>(problem.tunnels->num_tunnels());
+  table.alive.resize(Q.size() * table.num_tunnels);
+  // Scenarios write disjoint rows.
+  runtime::parallel_for(
+      Q.size(),
+      [&](std::size_t q) {
+        char* row = table.alive.data() + q * table.num_tunnels;
+        for (std::size_t t = 0; t < table.num_tunnels; ++t) {
+          row[t] = problem.tunnels->alive(
+              network, static_cast<net::TunnelId>(t), Q[q].fiber_failed);
+        }
+      },
+      /*grain=*/4);
+  return table;
+}
+
+// Fraction of flow f's demand carried by tunnels alive in `alive` (one
+// scenario's survival row) under the given allocations.
 double alive_fraction(const TeProblem& problem, const lp::Solution& sol,
                       const std::vector<int>& alloc, net::FlowId f,
-                      const FailureScenario& q) {
+                      const char* alive) {
   const double d = std::max(problem.demand(f), 1e-9);
   double frac = 0.0;
   for (net::TunnelId t : problem.tunnels->tunnels_for_flow(f)) {
-    if (problem.tunnels->alive(*problem.network, t, q.fiber_failed)) {
+    if (alive[t]) {
       frac += sol.x[static_cast<std::size_t>(alloc[static_cast<std::size_t>(t)])] / d;
     }
   }
   return frac;
 }
 
-// Builds the Phi-row for (f, q): Phi + sum_{t alive} a_t / d_f >= rhs.
+// Builds the Phi-row for (f, q): Phi + sum_{t alive} a_t / d_f >= rhs, with
+// `alive` the survival row of scenario q.
 lp::Row phi_row(const TeProblem& problem, const std::vector<int>& alloc,
-                int phi_var, net::FlowId f, const FailureScenario& q,
-                double rhs) {
+                int phi_var, net::FlowId f, const char* alive, double rhs) {
   std::vector<lp::Coefficient> coefs;
   const double d = std::max(problem.demand(f), 1e-9);
   for (net::TunnelId t : problem.tunnels->tunnels_for_flow(f)) {
-    if (problem.tunnels->alive(*problem.network, t, q.fiber_failed)) {
+    if (alive[t]) {
       coefs.push_back({alloc[static_cast<std::size_t>(t)], 1.0 / d});
     }
   }
@@ -107,6 +149,7 @@ MinMaxResult solve_min_max_direct(const TeProblem& problem,
                                   const ScenarioSet& scenarios,
                                   const MinMaxOptions& options) {
   check_mass(scenarios, options.beta);
+  const SurvivalTable survival = build_survival_table(problem, scenarios);
   const auto& flows = *problem.flows;
   const auto& Q = scenarios.scenarios;
 
@@ -131,8 +174,9 @@ MinMaxResult solve_min_max_direct(const TeProblem& problem,
       avail_row.push_back({delta[{flow.id, q}], Q[q].probability});
       // (4): sum_{t alive} a + d * l >= d.
       std::vector<lp::Coefficient> demand_row;
+      const char* alive = survival.row(q);
       for (net::TunnelId t : problem.tunnels->tunnels_for_flow(flow.id)) {
-        if (problem.tunnels->alive(*problem.network, t, Q[q].fiber_failed)) {
+        if (alive[t]) {
           demand_row.push_back({alloc[static_cast<std::size_t>(t)], 1.0});
         }
       }
@@ -286,6 +330,7 @@ namespace {
 // worst quantile loss; this stage breaks that tie the way an operator
 // would — protect everything that is cheap to protect.
 TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
+                       const SurvivalTable& survival,
                        const std::vector<std::vector<char>>& delta,
                        double phi_star, double beta,
                        const lp::SimplexOptions& simplex_options,
@@ -307,30 +352,36 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
   const double phi_bound = std::min(phi_star + 1e-7, 1.0);
   const bool enforce_guarantee = phi_bound < 1.0;
 
-  std::set<std::pair<int, std::size_t>> have_cvar_row;
-  std::set<std::pair<int, std::size_t>> have_guarantee_row;
+  // Per-(flow, scenario) flags, indexed f * |Q| + q: which lazy rows the
+  // model already holds.
+  const auto pair_index = [&](net::FlowId f, std::size_t q) {
+    return static_cast<std::size_t>(f) * Q.size() + q;
+  };
+  std::vector<char> have_cvar_row(flows.size() * Q.size(), 0);
+  std::vector<char> have_guarantee_row(flows.size() * Q.size(), 0);
   std::vector<BasisCache::RefineRow> recipe;
   auto add_cvar_row = [&](net::FlowId f, std::size_t q) {
     const int s = model.add_variable(
         0.0, 1.0, Q[q].probability * flow_weight / tail, "");
-    lp::Row row = phi_row(problem, alloc, s, f, Q[q], 1.0);
+    lp::Row row = phi_row(problem, alloc, s, f, survival.row(q), 1.0);
     row.coefficients.push_back({var_t, 1.0});
     model.add_row(std::move(row));
-    have_cvar_row.insert({f, q});
+    have_cvar_row[pair_index(f, q)] = 1;
     recipe.push_back({false, f, q});
   };
   auto add_guarantee_row = [&](net::FlowId f, std::size_t q) {
     // frac >= 1 - Phi*: the quantile guarantee, independent of t.
     std::vector<lp::Coefficient> coefs;
     const double d = std::max(problem.demand(f), 1e-9);
+    const char* alive = survival.row(q);
     for (net::TunnelId t : problem.tunnels->tunnels_for_flow(f)) {
-      if (problem.tunnels->alive(*problem.network, t, Q[q].fiber_failed)) {
+      if (alive[t]) {
         coefs.push_back({alloc[static_cast<std::size_t>(t)], 1.0 / d});
       }
     }
     model.add_row(std::move(coefs), lp::RowType::kGreaterEqual,
                   1.0 - phi_bound);
-    have_guarantee_row.insert({f, q});
+    have_guarantee_row[pair_index(f, q)] = 1;
     recipe.push_back({true, f, q});
   };
 
@@ -353,12 +404,12 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
         if (rr.guarantee) {
           if (!enforce_guarantee ||
               !delta[static_cast<std::size_t>(rr.flow)][rr.q] ||
-              have_guarantee_row.count({rr.flow, rr.q})) {
+              have_guarantee_row[pair_index(rr.flow, rr.q)]) {
             break;
           }
           add_guarantee_row(rr.flow, rr.q);
         } else {
-          if (have_cvar_row.count({rr.flow, rr.q})) break;
+          if (have_cvar_row[pair_index(rr.flow, rr.q)]) break;
           add_cvar_row(rr.flow, rr.q);
           ++aligned_cvar;
         }
@@ -378,7 +429,7 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
   }
   // Every flow gets its q=0 CVaR row unless the replay already added it.
   for (const net::Flow& flow : flows) {
-    if (!have_cvar_row.count({flow.id, 0})) add_cvar_row(flow.id, 0);
+    if (!have_cvar_row[pair_index(flow.id, 0)]) add_cvar_row(flow.id, 0);
   }
 
   const lp::SimplexSolver solver(simplex_options);
@@ -409,7 +460,7 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
     if (model.num_rows() >= kMaxTotalRows) break;  // bounded-basis stop
     const double t_val = solution.x[static_cast<std::size_t>(var_t)];
     // (violation, (flow, scenario), needs_guarantee). The per-scenario
-    // pricing sweep only reads the solution and the row-bookkeeping sets,
+    // pricing sweep only reads the solution and the row-bookkeeping flags,
     // so scenarios price in parallel; flattening in scenario order keeps
     // the candidate list identical to the serial sweep.
     using Candidate = std::tuple<double, std::pair<int, std::size_t>, bool>;
@@ -417,17 +468,18 @@ TePolicy refine_policy(const TeProblem& problem, const ScenarioSet& scenarios,
         Q.size(),
         [&](std::size_t q) {
           std::vector<Candidate> found;
+          const char* alive = survival.row(q);
           for (const net::Flow& flow : flows) {
             const double frac =
-                alive_fraction(problem, solution, alloc, flow.id, Q[q]);
+                alive_fraction(problem, solution, alloc, flow.id, alive);
             const bool guaranteed =
                 enforce_guarantee &&
                 delta[static_cast<std::size_t>(flow.id)][q] != 0;
-            if (guaranteed && !have_guarantee_row.count({flow.id, q}) &&
+            if (guaranteed && !have_guarantee_row[pair_index(flow.id, q)] &&
                 1.0 - frac > phi_bound + 1e-7) {
               found.push_back({1.0 - frac - phi_bound, {flow.id, q}, true});
             }
-            if (!have_cvar_row.count({flow.id, q}) &&
+            if (!have_cvar_row[pair_index(flow.id, q)] &&
                 1.0 - frac - t_val > 1e-6 && Q[q].probability > 1e-12) {
               found.push_back(
                   {(1.0 - frac - t_val) * Q[q].probability, {flow.id, q},
@@ -473,6 +525,7 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
                                    const MinMaxOptions& options,
                                    BasisCache* cache, CutBank* cut_bank) {
   check_mass(scenarios, options.beta);
+  const SurvivalTable survival = build_survival_table(problem, scenarios);
   const auto& flows = *problem.flows;
   const auto& Q = scenarios.scenarios;
 
@@ -514,9 +567,10 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   for (const net::Flow& flow : flows) {
     std::vector<std::pair<double, std::size_t>> fatal_q;  // (prob, q)
     for (std::size_t q = 0; q < Q.size(); ++q) {
+      const char* alive = survival.row(q);
       bool any_alive = false;
       for (net::TunnelId t : problem.tunnels->tunnels_for_flow(flow.id)) {
-        if (problem.tunnels->alive(*problem.network, t, Q[q].fiber_failed)) {
+        if (alive[t]) {
           any_alive = true;
           break;
         }
@@ -800,7 +854,17 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
     const int phi = sp.add_variable(0.0, 1.0, 1.0, "Phi");
     add_capacity_rows(sp, problem, alloc);
     std::vector<std::pair<int, std::size_t>> row_keys;  // after capacity rows
-    std::set<std::pair<int, std::size_t>> seen_keys;
+    // seen[f * |Q| + q]: whether the (f, q) Phi-row is already in the model.
+    std::vector<char> seen(flows.size() * Q.size(), 0);
+    const auto add_key = [&](const std::pair<int, std::size_t>& key) {
+      sp.add_row(phi_row(problem, alloc, phi, key.first,
+                         survival.row(key.second), 1.0));
+      row_keys.push_back(key);
+      seen[static_cast<std::size_t>(key.first) * Q.size() + key.second] = 1;
+    };
+    const auto is_seen = [&](int f, std::size_t q) {
+      return seen[static_cast<std::size_t>(f) * Q.size() + q] != 0;
+    };
     const int fixed_rows = sp.num_rows();
     // Replay the carried rows in order, stopping at the first key the
     // current delta no longer selects — everything before the stop lines up
@@ -812,12 +876,10 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
         if (key.second >= Q.size() || key.first < 0 ||
             static_cast<std::size_t>(key.first) >= delta.size() ||
             !delta[static_cast<std::size_t>(key.first)][key.second] ||
-            seen_keys.count(key)) {
+            is_seen(key.first, key.second)) {
           break;
         }
-        sp.add_row(phi_row(problem, alloc, phi, key.first, Q[key.second], 1.0));
-        row_keys.push_back(key);
-        seen_keys.insert(key);
+        add_key(key);
         ++aligned;
       }
     }
@@ -832,22 +894,17 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
           if (it == sig_to_q.end()) continue;
           const std::pair<int, std::size_t> key{p.flow, it->second};
           if (!delta[static_cast<std::size_t>(p.flow)][it->second] ||
-              seen_keys.count(key)) {
+              is_seen(key.first, key.second)) {
             continue;
           }
-          sp.add_row(
-              phi_row(problem, alloc, phi, p.flow, Q[it->second], 1.0));
-          row_keys.push_back(key);
-          seen_keys.insert(key);
+          add_key(key);
         }
       }
       if (row_keys.empty()) {
         // Cold seed: the highest-probability scenario's rows.
         for (const net::Flow& flow : flows) {
           if (delta[static_cast<std::size_t>(flow.id)][0]) {
-            sp.add_row(phi_row(problem, alloc, phi, flow.id, Q[0], 1.0));
-            row_keys.push_back({flow.id, 0});
-            seen_keys.insert({flow.id, 0});
+            add_key({flow.id, 0});
           }
         }
       }
@@ -886,12 +943,13 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
           Q.size(),
           [&](std::size_t q) {
             std::vector<SpCandidate> found;
+            const char* alive = survival.row(q);
             for (const net::Flow& flow : flows) {
               if (!delta[static_cast<std::size_t>(flow.id)][q]) continue;
-              if (seen_keys.count({flow.id, q})) continue;
+              if (is_seen(flow.id, q)) continue;
               const double shortfall =
                   1.0 - phi_val -
-                  alive_fraction(problem, sp_solution, alloc, flow.id, Q[q]);
+                  alive_fraction(problem, sp_solution, alloc, flow.id, alive);
               if (shortfall > kTol) found.push_back({shortfall, {flow.id, q}});
             }
             return found;
@@ -908,12 +966,7 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
       std::sort(violated.begin(), violated.end(),
                 [](const auto& a, const auto& b) { return a.first > b.first; });
       const auto keep = std::min<std::size_t>(violated.size(), kMaxRowsPerRound);
-      for (std::size_t i = 0; i < keep; ++i) {
-        const auto& key = violated[i].second;
-        sp.add_row(phi_row(problem, alloc, phi, key.first, Q[key.second], 1.0));
-        row_keys.push_back(key);
-        seen_keys.insert(key);
-      }
+      for (std::size_t i = 0; i < keep; ++i) add_key(violated[i].second);
     }
     if (!sp_ok) {
       // A pivot/deadline-limited subproblem still carries a primal-feasible
@@ -1128,8 +1181,9 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   // incumbent ships as-is rather than starting another LP sequence.
   if (deadline == nullptr || !deadline->expired()) {
     TePolicy refined =
-        refine_policy(problem, scenarios, best_delta, guarantee, options.beta,
-                      simplex_options, cache, &result.simplex_pivots);
+        refine_policy(problem, scenarios, survival, best_delta, guarantee,
+                      options.beta, simplex_options, cache,
+                      &result.simplex_pivots);
     if (!refined.allocation.empty()) {
       result.policy = std::move(refined);
     }

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
+
+#include "net/paths.h"
 #include "net/topology.h"
+#include "net/traffic.h"
 #include "te/evaluator.h"
+#include "workload/continental.h"
 
 namespace prete::te {
 namespace {
@@ -68,6 +76,21 @@ TEST(MinMaxDirectTest, InfeasibleBetaThrows) {
   EXPECT_THROW(solve_min_max_direct(fx.problem, set, options),
                std::invalid_argument);
   EXPECT_THROW(solve_min_max_benders(fx.problem, set, options),
+               std::invalid_argument);
+}
+
+TEST(MinMaxBendersTest, ShortFiberBitmapThrows) {
+  // A scenario whose bitmap is shorter than the network's fiber count would
+  // make the survival check read past its end; both solvers reject it.
+  TriangleCase fx;
+  auto set = triangle_scenarios(0.02, 0.03, 0.01);
+  ASSERT_EQ(set.scenarios.back().fiber_failed.size(), 3u);
+  set.scenarios.back().fiber_failed.resize(1);
+  MinMaxOptions options;
+  options.beta = 0.95;
+  EXPECT_THROW(solve_min_max_benders(fx.problem, set, options),
+               std::invalid_argument);
+  EXPECT_THROW(solve_min_max_direct(fx.problem, set, options),
                std::invalid_argument);
 }
 
@@ -286,6 +309,149 @@ TEST(MinMaxBendersTest, PinnedMassIsChargedAgainstDropBudget) {
       }
     }
     EXPECT_GE(ok_mass, options.beta - 1e-9) << "flow " << flow.id;
+  }
+}
+
+// Golden regression: a small continental instance solved for two
+// consecutive epochs with a basis cache and a cut bank, a dynamic tunnel and
+// one fatal pair. The pinned values fix the pivot path: any change to the
+// row order, candidate order or arithmetic of the decomposition moves them.
+struct GoldenCase {
+  workload::ContinentalWorkload plant;
+  net::TunnelSet tunnels;
+  ScenarioSet scenarios;
+  net::FlowId fatal_flow = 0;
+
+  static workload::ContinentalConfig config() {
+    workload::ContinentalConfig c;
+    c.nodes = 24;
+    c.min_fibers = 40;
+    c.flows = 10;
+    c.timezones = 2;
+    c.mean_cut_prob_per_1000km = 2e-3;
+    c.scenario_gen.max_scenarios = 400;
+    c.reduction.max_scenarios = 30;
+    return c;
+  }
+
+  GoldenCase()
+      : plant(workload::generate_continental_workload(config())),
+        tunnels(net::build_tunnels(plant.topology.network,
+                                   plant.topology.flows)) {
+    const net::Network& network = plant.topology.network;
+    // A dynamic tunnel for flow 1: its shortest path not yet in the set.
+    const net::Flow& dyn = plant.topology.flows[1];
+    for (const net::Path& path :
+         net::k_shortest_paths(network, dyn.src, dyn.dst, 8,
+                               net::hop_count_weight())) {
+      bool known = false;
+      for (net::TunnelId t : tunnels.tunnels_for_flow(dyn.id)) {
+        known = known || tunnels.tunnel(t).path == path;
+      }
+      if (!known) {
+        tunnels.add_tunnel(dyn.id, path, /*dynamic=*/true);
+        break;
+      }
+    }
+    scenarios = reduce_scenarios(
+        generate_correlated_scenarios(plant.failure_model,
+                                      config().scenario_gen),
+        config().reduction);
+    // The fatal pair: one extra scenario cutting the first fiber of every
+    // tunnel of `fatal_flow`.
+    FailureScenario fatal;
+    fatal.fiber_failed.assign(static_cast<std::size_t>(network.num_fibers()),
+                              false);
+    for (net::TunnelId t : tunnels.tunnels_for_flow(fatal_flow)) {
+      const net::LinkId first = tunnels.tunnel(t).path.front();
+      fatal.fiber_failed[static_cast<std::size_t>(network.link(first).fiber)] =
+          true;
+    }
+    fatal.probability = 1e-3;
+    scenarios.scenarios.push_back(fatal);
+    scenarios.covered_probability += fatal.probability;
+  }
+
+  TeProblem problem(double scale) const {
+    TeProblem p;
+    p.network = &plant.topology.network;
+    p.flows = &plant.topology.flows;
+    p.tunnels = &tunnels;
+    p.demands = net::scale_traffic(plant.matrices[0], scale);
+    return p;
+  }
+};
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// FNV-1a over the allocation's bits.
+std::uint64_t allocation_hash(const std::vector<double>& allocation) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const double v : allocation) {
+    const std::uint64_t bits = bits_of(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(MinMaxGoldenTest, TwoEpochsWithCacheAndBankArePinned) {
+  GoldenCase fx;
+  ASSERT_TRUE(std::any_of(fx.tunnels.tunnels().begin(),
+                          fx.tunnels.tunnels().end(),
+                          [](const net::Tunnel& t) { return t.dynamic; }));
+  MinMaxOptions options;
+  options.beta = fx.scenarios.covered_probability - 0.03;
+  BasisCache cache;
+  CutBank bank;
+  struct Expected {
+    std::uint64_t phi_bits;
+    int iterations;
+    int pivots;
+    int banked;
+    int invalidated;
+    int replayed;
+    std::uint64_t allocation_hash;
+  };
+  const Expected golden[2] = {
+      {0x0000000000000000ull, 3, 486, 3, 0, 0, 0x2677cec98b814aeeull},
+      {0x3fa530bb2bb939dcull, 1, 208, 1, 1, 2, 0x2818e24ccee4be70ull},
+  };
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    // The second epoch sees the same demands under drifted probabilities,
+    // so the banked cuts replay and the cached bases line up.
+    ScenarioSet set = fx.scenarios;
+    if (epoch == 1) {
+      set.covered_probability = 0.0;
+      for (std::size_t q = 0; q < set.scenarios.size(); ++q) {
+        set.scenarios[q].probability *= q % 2 == 0 ? 0.98 : 1.01;
+        set.covered_probability += set.scenarios[q].probability;
+      }
+    }
+    const TeProblem problem = fx.problem(4.0);
+    const MinMaxResult r =
+        solve_min_max_benders(problem, set, options, &cache, &bank);
+    EXPECT_EQ(bits_of(r.phi), golden[epoch].phi_bits) << "epoch " << epoch;
+    EXPECT_EQ(r.iterations, golden[epoch].iterations) << "epoch " << epoch;
+    EXPECT_EQ(r.simplex_pivots, golden[epoch].pivots) << "epoch " << epoch;
+    EXPECT_EQ(r.cuts_banked, golden[epoch].banked) << "epoch " << epoch;
+    EXPECT_EQ(r.cuts_invalidated, golden[epoch].invalidated)
+        << "epoch " << epoch;
+    EXPECT_EQ(r.cuts_replayed, golden[epoch].replayed) << "epoch " << epoch;
+    EXPECT_EQ(allocation_hash(r.policy.allocation),
+              golden[epoch].allocation_hash)
+        << "epoch " << epoch;
+    EXPECT_TRUE(r.converged) << "epoch " << epoch;
+    // The fatal pair was pinned for its flow.
+    EXPECT_GE(r.pinned_fatal_mass[static_cast<std::size_t>(fx.fatal_flow)],
+              set.scenarios.back().probability)
+        << "epoch " << epoch;
   }
 }
 
