@@ -1099,49 +1099,57 @@ int main(int argc, char** argv) {
 
   // LP kernel phases: pivot counts, not thread scaling, are the story here
   // (both legs also feed the bit-identity gate below).
-  util::Table lp_table({"phase", "variant", "seconds", "pivots"});
+  // The N-thread column holds each timed phase's parallel leg beside its
+  // serial seconds.
+  util::Table lp_table({"phase", "variant", "seconds",
+                        std::to_string(parallel_threads) + "-thread seconds",
+                        "pivots"});
   lp_table.add_row({"simplex_pricing", "cold LPs dantzig",
                     util::Table::format(t_serial_pricing, 2),
+                    util::Table::format(t_parallel_pricing, 2),
                     std::to_string(serial_pricing.dantzig_pivots)});
-  lp_table.add_row({"simplex_pricing", "cold LPs devex", "",
+  lp_table.add_row({"simplex_pricing", "cold LPs devex", "", "",
                     std::to_string(serial_pricing.devex_pivots)});
-  lp_table.add_row({"simplex_pricing", "pipeline dantzig", "",
+  lp_table.add_row({"simplex_pricing", "pipeline dantzig", "", "",
                     std::to_string(serial_pricing.pipeline_dantzig_pivots)});
-  lp_table.add_row({"simplex_pricing", "pipeline devex", "",
+  lp_table.add_row({"simplex_pricing", "pipeline devex", "", "",
                     std::to_string(serial_pricing.pipeline_devex_pivots)});
   lp_table.add_row({"basis_carry", "cold tail",
                     util::Table::format(t_serial_carry, 2),
+                    util::Table::format(t_parallel_carry, 2),
                     std::to_string(serial_carry.cold_tail_pivots)});
-  lp_table.add_row({"basis_carry", "carried tail", "",
+  lp_table.add_row({"basis_carry", "carried tail", "", "",
                     std::to_string(serial_carry.carried_tail_pivots)});
   lp_table.add_row({"cut_bank", "cold tail",
                     util::Table::format(t_serial_cut_bank, 2),
+                    util::Table::format(t_parallel_cut_bank, 2),
                     std::to_string(serial_cut_bank.cold_tail_pivots)});
-  lp_table.add_row({"cut_bank", "replayed tail", "",
+  lp_table.add_row({"cut_bank", "replayed tail", "", "",
                     std::to_string(serial_cut_bank.warm_tail_pivots)});
   lp_table.add_row({"learned_warm_start", "cold tail",
                     util::Table::format(t_serial_warm_start, 2),
+                    util::Table::format(t_parallel_warm_start, 2),
                     std::to_string(serial_warm_start.cold_tail_pivots)});
-  lp_table.add_row({"learned_warm_start", "hinted tail", "",
+  lp_table.add_row({"learned_warm_start", "hinted tail", "", "",
                     std::to_string(serial_warm_start.hinted_tail_pivots)});
   lp_table.add_row({"lp_kernel", "dense + full pricing",
-                    util::Table::format(serial_kernel.dense_seconds, 3),
+                    util::Table::format(serial_kernel.dense_seconds, 3), "",
                     std::to_string(serial_kernel.dense_pivots)});
   lp_table.add_row({"lp_kernel", "eta + auto pricing",
-                    util::Table::format(serial_kernel.eta_seconds, 3),
+                    util::Table::format(serial_kernel.eta_seconds, 3), "",
                     std::to_string(serial_kernel.eta_pivots)});
   lp_table.add_row({"lu_anchor", "explicit inverse (m=" +
                         std::to_string(serial_lu_anchor.rows) + ")",
                     util::Table::format(serial_lu_anchor.explicit_seconds, 3),
-                    std::to_string(serial_lu_anchor.explicit_pivots)});
+                    "", std::to_string(serial_lu_anchor.explicit_pivots)});
   lp_table.add_row({"lu_anchor", "sparse LU",
-                    util::Table::format(serial_lu_anchor.lu_seconds, 3),
+                    util::Table::format(serial_lu_anchor.lu_seconds, 3), "",
                     std::to_string(serial_lu_anchor.lu_pivots)});
   lp_table.add_row({"bnb_direct", "serial",
-                    util::Table::format(t_serial_bnb, 2),
+                    util::Table::format(t_serial_bnb, 2), "",
                     std::to_string(serial_bnb.pivots)});
   lp_table.add_row({"bnb_direct",
-                    std::to_string(parallel_threads) + " threads",
+                    std::to_string(parallel_threads) + " threads", "",
                     util::Table::format(t_parallel_bnb, 2),
                     std::to_string(parallel_bnb.pivots)});
   lp_table.print(std::cout);

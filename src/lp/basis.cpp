@@ -18,6 +18,7 @@ void BasisState::clear_etas() {
   eta_pivot_inv_.clear();
   eta_idx_.clear();
   eta_val_.clear();
+  eta_pos_.clear();
   eta_start_.assign(1, 0);
 }
 
@@ -248,7 +249,6 @@ void BasisState::ftran(const std::vector<Coefficient>& a,
 
 void BasisState::btran(const std::vector<double>& v,
                        std::vector<double>& y) const {
-  y.assign(static_cast<std::size_t>(m_), 0.0);
   const std::vector<double>* src = &v;
   if (kernel_ == BasisKernel::kEtaFile && !eta_row_.empty()) {
     scratch_ = v;
@@ -266,12 +266,18 @@ void BasisState::btran(const std::vector<double>& v,
     }
     src = &scratch_;
   }
+  btran_anchor(*src, y);
+}
+
+void BasisState::btran_anchor(const std::vector<double>& u,
+                              std::vector<double>& y) const {
   if (anchor_is_lu_) {
-    lu_.btran(*src, y);
+    lu_.btran(u, y);
     return;
   }
+  y.assign(static_cast<std::size_t>(m_), 0.0);
   for (int r = 0; r < m_; ++r) {
-    const double vr = (*src)[static_cast<std::size_t>(r)];
+    const double vr = u[static_cast<std::size_t>(r)];
     if (vr == 0.0) continue;
     const double* row = rows_.data() + static_cast<std::size_t>(r) * m_;
     for (int c = 0; c < m_; ++c) {
@@ -287,9 +293,52 @@ void BasisState::pivot_row(int r, std::vector<double>& rho) const {
                rows_.begin() + static_cast<std::ptrdiff_t>(r + 1) * m_);
     return;
   }
-  std::vector<double> unit(static_cast<std::size_t>(m_), 0.0);
-  unit[static_cast<std::size_t>(r)] = 1.0;
-  btran(unit, rho);
+  // Hypersparse reverse eta pass from e_r. nz_rows_ lists, ascending, the
+  // rows of scratch_ that are nonzero; each eta subtracts only their terms,
+  // found through its row lookup, in the ascending order btran's dense pass
+  // sums them in — so every nonzero result matches btran(e_r) bit for bit
+  // (a skipped term is an exact zero and can only flip the sign of a zero).
+  scratch_.assign(static_cast<std::size_t>(m_), 0.0);
+  scratch_[static_cast<std::size_t>(r)] = 1.0;
+  nz_rows_.assign(1, r);
+  for (std::size_t k = eta_row_.size(); k-- > 0;) {
+    const int begin = eta_start_[k];
+    const int end = eta_start_[k + 1];
+    const int row = eta_row_[k];
+    double& target = scratch_[static_cast<std::size_t>(row)];
+    double s = target;
+    bool hit = false;
+    if (2 * nz_rows_.size() > static_cast<std::size_t>(end - begin)) {
+      // Dense step: with the list longer than half this eta's entries,
+      // walking the entries is cheaper than probing the lookup per row.
+      for (int p = begin; p < end; ++p) {
+        s -= scratch_[static_cast<std::size_t>(
+                 eta_idx_[static_cast<std::size_t>(p)])] *
+             eta_val_[static_cast<std::size_t>(p)];
+      }
+      hit = end > begin;
+    } else {
+      const int* pos = eta_pos_.data() + k * static_cast<std::size_t>(m_);
+      for (const int i : nz_rows_) {
+        const int p = pos[i];
+        if (p < 0) continue;
+        s -= scratch_[static_cast<std::size_t>(i)] *
+             eta_val_[static_cast<std::size_t>(p)];
+        hit = true;
+      }
+    }
+    if (!hit && s == 0.0) continue;  // the eta leaves e_r's image untouched
+    const bool was_nonzero = target != 0.0;
+    target = s * eta_pivot_inv_[k];
+    if (was_nonzero == (target != 0.0)) continue;
+    const auto at = std::lower_bound(nz_rows_.begin(), nz_rows_.end(), row);
+    if (was_nonzero) {
+      nz_rows_.erase(at);  // exact cancellation: drop the row from the list
+    } else {
+      nz_rows_.insert(at, row);
+    }
+  }
+  btran_anchor(scratch_, rho);
 }
 
 void BasisState::apply_inverse(const std::vector<double>& v,
@@ -344,14 +393,20 @@ bool BasisState::update(int r, const std::vector<double>& w) {
   }
 
   // Eta append: record w as a pivot column of the product form.
+  // The row lookup (position of each row's entry, -1 where absent) is
+  // appended alongside, one int per row, for pivot_row's sparse pass.
   const double piv = w[static_cast<std::size_t>(r)];
   eta_row_.push_back(r);
   eta_pivot_inv_.push_back(1.0 / piv);
+  const std::size_t lookup = eta_pos_.size();
+  eta_pos_.resize(lookup + static_cast<std::size_t>(m_), -1);
   double max_abs = 0.0;
   for (int i = 0; i < m_; ++i) {
     if (i == r) continue;
     const double v = w[static_cast<std::size_t>(i)];
     if (v == 0.0) continue;
+    eta_pos_[lookup + static_cast<std::size_t>(i)] =
+        static_cast<int>(eta_idx_.size());
     eta_idx_.push_back(i);
     eta_val_.push_back(v);
     const double mag = std::abs(v);

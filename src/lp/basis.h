@@ -35,6 +35,14 @@ namespace prete::lp {
 // factorization (lp::LuFactorization) whose memory and reinversion cost
 // track the basis nonzero count instead of m^2 — the regime of the
 // thousand-row continental masters. Both anchors feed the same eta file.
+//
+// Each eta also carries a row lookup: one int per basis row giving the
+// position of that row's entry in the eta (-1 where the row is absent),
+// written eta-major into one contiguous buffer that is reused across
+// reinversions. It lets the devex pivot row e_r^T B^-1 run hypersparse:
+// e_r stays sparse through most of the reverse eta pass, so pivot_row
+// probes each eta only at the rows that are nonzero so far instead of
+// walking every entry of the eta file (see pivot_row).
 enum class BasisKernel : std::uint8_t { kDenseBinv, kEtaFile };
 
 // The basis-inverse state shared by both kernels. One instance serves one
@@ -93,6 +101,13 @@ class BasisState {
   void btran(const std::vector<double>& v, std::vector<double>& y) const;
 
   // rho = e_r^T B^-1, row r of the current inverse — the devex pivot row.
+  // Under the eta kernel the reverse eta pass is hypersparse: it keeps the
+  // ascending list of nonzero rows and, per eta, subtracts only their terms
+  // (found through the eta's row lookup) in the dense pass's order, so each
+  // nonzero entry is bit-identical to btran(e_r) and an entry can differ
+  // only in the sign of a zero. An eta that touches none of those rows
+  // while its pivot row's entry is zero is skipped; an eta with fewer than
+  // twice as many entries as the list has rows is walked densely instead.
   void pivot_row(int r, std::vector<double>& rho) const;
 
   // x = B^-1 v for a dense column vector v (basic-value recomputation).
@@ -118,6 +133,8 @@ class BasisState {
   static constexpr double kDriftThreshold = 1e7;
 
   void clear_etas();
+  // y = u^T A^-1 for the anchor A (the LU or the dense inverse's rows).
+  void btran_anchor(const std::vector<double>& u, std::vector<double>& y) const;
 
   int m_ = 0;
   BasisKernel kernel_ = BasisKernel::kEtaFile;
@@ -148,9 +165,15 @@ class BasisState {
   std::vector<int> eta_start_;
   std::vector<int> eta_idx_;
   std::vector<double> eta_val_;
+  // Row lookup, eta-major: eta_pos_[k * m_ + i] is the index p into
+  // eta_idx_/eta_val_ of row i's entry in eta k, or -1. Holds one m_-row
+  // per eta in the file; its capacity survives reinversions.
+  std::vector<int> eta_pos_;
 
   // Scratch for BTRAN-style passes that transform a copy of the input.
   mutable std::vector<double> scratch_;
+  // Ascending nonzero rows of scratch_ during pivot_row's sparse pass.
+  mutable std::vector<int> nz_rows_;
 
   // Member scratch buffers for the dense refactorization paths, reused
   // across reinversions (swapped with rows_, never moved from — a move

@@ -211,12 +211,12 @@ MonteCarloResult MonteCarloStudy::run_prete(const net::TrafficMatrix& demands,
     // corrupt the prediction or starve the solver, then prove the pipeline
     // absorbs it. fault_at is a pure function of (plan, step), so the
     // parallel schedule cannot perturb which signature gets which fault.
+    // Only faults actually applied are counted: a prediction fault drawn
+    // for the no-degradation signature has no prediction to corrupt.
     util::Deadline budget = util::Deadline::unlimited();
     util::Deadline* deadline = nullptr;
     if (faults != nullptr) {
-      const FaultKind kind = faults->fault_at(degraded_fiber + 1);
-      if (kind != FaultKind::kNone) slot.faulted = 1;
-      switch (kind) {
+      switch (faults->fault_at(degraded_fiber + 1)) {
         case FaultKind::kPredictorNaN:
         case FaultKind::kPredictorThrow:
           // A throwing predictor surfaces to the scheme as "no usable
@@ -224,22 +224,32 @@ MonteCarloResult MonteCarloStudy::run_prete(const net::TrafficMatrix& demands,
           if (degraded_fiber >= 0) {
             scenario.predicted_prob[static_cast<std::size_t>(degraded_fiber)] =
                 std::numeric_limits<double>::quiet_NaN();
+            slot.faulted = 1;
           }
           break;
         case FaultKind::kTelemetryCorruption:
           if (degraded_fiber >= 0) {
             scenario.predicted_prob[static_cast<std::size_t>(degraded_fiber)] =
                 1e9;  // absurd collector output; the scheme clamps it
+            slot.faulted = 1;
           }
           break;
         case FaultKind::kDeadlineExpiry:
           budget.set_pivot_budget(FaultInjector::kDeadlineExpiryPivots);
           deadline = &budget;
+          slot.faulted = 1;
           break;
         case FaultKind::kSolverCollapse:
           budget.set_pivot_budget(FaultInjector::kSolverCollapsePivots);
           deadline = &budget;
+          slot.faulted = 1;
           break;
+        case FaultKind::kStageStall:
+        case FaultKind::kWindowDrop:
+        case FaultKind::kWindowDuplicate:
+        case FaultKind::kSolverThrow:
+          // Control-plane faults act on the epoch pipeline, which a study
+          // does not run: nothing to apply, nothing to count.
         case FaultKind::kNone:
           break;
       }

@@ -46,8 +46,9 @@ struct MonteCarloResult {
   int epochs_with_cut = 0;
   // Standard error of the availability estimate (per-epoch variance).
   double standard_error = 0.0;
-  // Component faults injected into policy computation (fault-aware
-  // run_prete only; 0 otherwise).
+  // Component faults applied to policy computation (fault-aware run_prete
+  // only; 0 otherwise). Control-plane kinds, and prediction faults drawn for
+  // the no-degradation signature, change nothing and are not counted.
   int faults_injected = 0;
 };
 

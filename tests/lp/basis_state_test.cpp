@@ -3,6 +3,8 @@
 #include <climits>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "lp/basis.h"
@@ -11,7 +13,8 @@
 // BasisState refactorization regressions: the singularity test must be
 // relative to each column's input magnitude (an absolute cutoff misreads
 // badly scaled — but perfectly conditioned — bases as singular), and truly
-// singular bases must still be rejected under every anchor.
+// singular bases must still be rejected under every anchor. The
+// hypersparse pivot_row must match btran(e_r) entry for entry.
 
 namespace prete::lp {
 namespace {
@@ -193,6 +196,211 @@ TEST(BasisStateLuAnchorTest, AnchorsAgreeOnSolves) {
         << "apply_inverse[" << i << "]";
   }
 }
+
+// --- pivot_row(r) == btran(e_r) ----------------------------------------
+//
+// pivot_row's sparse reverse eta pass sums the same nonzero terms in the
+// same order as the dense pass inside btran, so every entry must compare
+// equal with == (a skipped exact-zero term may flip only the sign of a
+// zero, and -0.0 == 0.0).
+
+// Appends one eta pivoting on row r: w holds `entries` (row, value) pairs
+// off the pivot and `pivot` on it.
+void append_eta(BasisState& basis, int m, int r, double pivot,
+                const std::vector<std::pair<int, double>>& entries) {
+  std::vector<double> w(static_cast<std::size_t>(m), 0.0);
+  w[static_cast<std::size_t>(r)] = pivot;
+  for (const auto& [row, value] : entries) {
+    w[static_cast<std::size_t>(row)] = value;
+  }
+  basis.update(r, w);  // a refactorization request is ignored on purpose
+}
+
+// A random eta pivoting on a random row; the entry density is drawn per eta
+// from empty (always walked densely) to nearly full.
+void append_random_eta(BasisState& basis, int m, util::Rng& rng) {
+  static constexpr double kDensities[] = {0.0, 0.05, 0.2, 0.5, 0.9};
+  const double density = kDensities[rng.next_below(5)];
+  const int r = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(m)));
+  std::vector<std::pair<int, double>> entries;
+  for (int i = 0; i < m; ++i) {
+    if (i != r && rng.bernoulli(density)) {
+      entries.emplace_back(i, rng.uniform(-2.0, 2.0));
+    }
+  }
+  const double pivot =
+      rng.uniform(0.5, 2.0) * (rng.bernoulli(0.5) ? 1.0 : -1.0);
+  append_eta(basis, m, r, pivot, entries);
+}
+
+// Compares pivot_row(r) against btran(e_r) for every row r.
+void expect_pivot_rows_match_btran(const BasisState& basis, int m,
+                                   const std::string& where) {
+  std::vector<double> rho;
+  std::vector<double> y;
+  std::vector<double> unit(static_cast<std::size_t>(m), 0.0);
+  for (int r = 0; r < m; ++r) {
+    basis.pivot_row(r, rho);
+    unit[static_cast<std::size_t>(r)] = 1.0;
+    basis.btran(unit, y);
+    unit[static_cast<std::size_t>(r)] = 0.0;
+    ASSERT_EQ(rho.size(), y.size()) << where << " r=" << r;
+    for (int i = 0; i < m; ++i) {
+      ASSERT_TRUE(rho[static_cast<std::size_t>(i)] ==
+                  y[static_cast<std::size_t>(i)])
+          << where << " r=" << r << " i=" << i << ": "
+          << rho[static_cast<std::size_t>(i)]
+          << " != " << y[static_cast<std::size_t>(i)];
+    }
+  }
+}
+
+class PivotRowVsBtran : public ::testing::TestWithParam<int> {
+ protected:
+  // lu_threshold: 1 forces the sparse LU anchor, INT_MAX the dense inverse.
+  void configure(BasisState& basis, int refactor_interval) const {
+    basis.configure(BasisKernel::kEtaFile, refactor_interval, GetParam());
+  }
+};
+
+TEST_P(PivotRowVsBtran, RandomEtaFilesOfEveryLength) {
+  constexpr int kInterval = 16;
+  util::Rng rng(101);
+  for (int trial = 0; trial < 12; ++trial) {
+    const int m = 6 + static_cast<int>(rng.next_below(40));
+    const auto cols = scaled_basis(m, 1.0, 1000 + static_cast<std::uint64_t>(trial));
+    BasisState basis;
+    configure(basis, kInterval);
+    for (int etas = 1; etas <= kInterval; ++etas) {
+      ASSERT_TRUE(basis.refactorize(column_pointers(cols)));
+      for (int k = 0; k < etas; ++k) append_random_eta(basis, m, rng);
+      ASSERT_EQ(basis.eta_length(), etas);
+      expect_pivot_rows_match_btran(
+          basis, m,
+          "trial " + std::to_string(trial) + " etas " + std::to_string(etas));
+    }
+  }
+}
+
+TEST_P(PivotRowVsBtran, SparseRegimeOverWideEtas) {
+  // Rows [0, 32) are never pivoted on and never reached from a unit vector
+  // of another row, so every eta carries >= 32 entries while at most the 16
+  // pivot rows can turn nonzero: the pass from any pivot row stays sparse
+  // end to end. Each eta also links one other pivot row, so real terms
+  // flow through the lookup.
+  constexpr int kM = 48;
+  constexpr int kFiller = 32;
+  const auto cols = scaled_basis(kM, 1.0, 5);
+  BasisState basis;
+  configure(basis, 32);
+  ASSERT_TRUE(basis.refactorize(column_pointers(cols)));
+  util::Rng rng(55);
+  for (int k = 0; k < 32; ++k) {
+    const int r = kFiller + (k % (kM - kFiller));
+    std::vector<std::pair<int, double>> entries;
+    for (int i = 0; i < kFiller; ++i) {
+      entries.emplace_back(i, rng.uniform(-1.0, 1.0));
+    }
+    entries.emplace_back(kFiller + ((k + 3) % (kM - kFiller)),
+                         rng.uniform(-1.0, 1.0));
+    append_eta(basis, kM, r, rng.uniform(0.5, 2.0), entries);
+  }
+  expect_pivot_rows_match_btran(basis, kM, "sparse regime");
+}
+
+TEST_P(PivotRowVsBtran, DenseStepsOverNarrowEtas) {
+  // Etas with zero or one off-pivot entry have fewer than twice as many
+  // entries as the nonzero list has rows, so each is walked densely. With
+  // wide etas on either side, one pass switches sparse -> dense -> sparse.
+  constexpr int kM = 20;
+  const auto cols = scaled_basis(kM, 1.0, 8);
+  util::Rng rng(66);
+  const auto append_wide = [&](BasisState& basis) {
+    for (int k = 0; k < 4; ++k) {
+      std::vector<std::pair<int, double>> entries;
+      for (int i = 0; i < kM; ++i) {
+        if (i != k) entries.emplace_back(i, rng.uniform(-1.0, 1.0));
+      }
+      append_eta(basis, kM, k, rng.uniform(0.5, 2.0), entries);
+    }
+  };
+  for (const bool wide : {false, true}) {
+    BasisState basis;
+    configure(basis, 32);
+    ASSERT_TRUE(basis.refactorize(column_pointers(cols)));
+    if (wide) append_wide(basis);
+    for (int k = 0; k < 12; ++k) {
+      std::vector<std::pair<int, double>> entries;
+      if (k % 2 == 1) entries.emplace_back((k + 5) % kM, rng.uniform(-1.0, 1.0));
+      append_eta(basis, kM, (3 * k) % kM, rng.uniform(0.5, 2.0), entries);
+    }
+    if (wide) append_wide(basis);
+    expect_pivot_rows_match_btran(basis, kM,
+                                  wide ? "narrow between wide" : "narrow only");
+  }
+}
+
+TEST_P(PivotRowVsBtran, SameRowPivotedTwiceAndExactCancellation) {
+  // Rows 2, 4 and 7 are pivoted on (2 and 7 repeatedly); every eta is
+  // padded with entries on six filler rows that stay zero from e_2, so the
+  // pass from e_2 never leaves the sparse regime. Applied newest first:
+  //   pivot 2 (1/4):             row 2 = 1 / 4            = 0.25
+  //   pivot 7 (1/0.5, -1 @ 2):   row 7 = (0 + 0.25) * 2   = 0.5
+  //   pivot 2 (1/1, 0.5 @ 7):    row 2 = 0.25 - 0.5 * 0.5 = 0 exactly
+  //   pivot 4 (1/1, -1 @ 7):     row 4 = 0 + 0.5          = 0.5
+  //   pivot 7, then pivot 2 again, reading the cancelled row 2 as zero and
+  //   turning it nonzero again;
+  //   pivot 4 (oldest) reads the revived row 2 once — a cancelled row left
+  //   in the list would be re-added and counted twice here.
+  constexpr int kM = 12;
+  const auto cols = scaled_basis(kM, 1.0, 9);
+  BasisState basis;
+  configure(basis, 16);
+  ASSERT_TRUE(basis.refactorize(column_pointers(cols)));
+  util::Rng rng(91);
+  const auto padded = [&](std::vector<std::pair<int, double>> entries) {
+    for (const int i : {5, 6, 8, 9, 10, 11}) {
+      entries.emplace_back(i, rng.uniform(-1.0, 1.0));
+    }
+    return entries;
+  };
+  append_eta(basis, kM, 4, 2.0, padded({{2, 1.25}, {7, 0.75}}));
+  append_eta(basis, kM, 2, 3.0, padded({{7, 0.25}}));
+  append_eta(basis, kM, 7, -1.5, padded({{2, -0.5}, {4, 2.0}}));
+  append_eta(basis, kM, 4, 1.0, padded({{2, 3.0}, {7, -1.0}}));
+  append_eta(basis, kM, 2, 1.0, padded({{7, 0.5}}));
+  append_eta(basis, kM, 7, 0.5, padded({{2, -1.0}}));
+  append_eta(basis, kM, 2, 4.0, padded({}));
+  expect_pivot_rows_match_btran(basis, kM, "repeat + cancellation");
+}
+
+TEST_P(PivotRowVsBtran, NewDimensionDiscardsStaleLookup) {
+  // Etas at one m, then a refactorize / reset to a different m and fresh
+  // etas: a lookup still indexed by the old m would misplace every entry.
+  util::Rng rng(77);
+  BasisState basis;
+  configure(basis, 16);
+  for (const int m : {30, 18, 41}) {
+    const auto cols = scaled_basis(m, 1.0, static_cast<std::uint64_t>(m));
+    ASSERT_TRUE(basis.refactorize(column_pointers(cols)));
+    for (int k = 0; k < 10; ++k) append_random_eta(basis, m, rng);
+    expect_pivot_rows_match_btran(basis, m, "m=" + std::to_string(m));
+  }
+  for (const int m : {25, 9}) {
+    std::vector<double> signs(static_cast<std::size_t>(m));
+    for (int i = 0; i < m; ++i) signs[static_cast<std::size_t>(i)] = i % 3 == 0 ? -1.0 : 1.0;
+    basis.reset_diagonal(m, signs);
+    for (int k = 0; k < 10; ++k) append_random_eta(basis, m, rng);
+    expect_pivot_rows_match_btran(basis, m, "reset m=" + std::to_string(m));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Anchors, PivotRowVsBtran,
+                         ::testing::Values(1, INT_MAX),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return info.param == 1 ? std::string("LuAnchor")
+                                                  : std::string("DenseAnchor");
+                         });
 
 }  // namespace
 }  // namespace prete::lp

@@ -176,6 +176,32 @@ TEST(FaultInjectorTest, MonteCarloRunSurvivesInjectedFaults) {
   EXPECT_EQ(clean.faults_injected, 0);
 }
 
+TEST(FaultInjectorTest, MonteCarloIgnoresControlPlaneFaults) {
+  // Control-plane kinds target the epoch pipeline, which a study does not
+  // run: a plan made only of them must inject nothing and leave the study
+  // bit-identical to a clean one.
+  McFixture fx;
+  const MonteCarloStudy mc(fx.topo, fx.stats, fx.config(400));
+  FaultPlan plan;
+  plan.seed = 9;
+  plan.rates.stage_stall = 0.25;
+  plan.rates.window_drop = 0.25;
+  plan.rates.window_duplicate = 0.25;
+  plan.rates.solver_throw = 0.25;
+  const FaultInjector faults(plan);
+
+  util::Rng rng(41);
+  const auto faulted = mc.run_prete(fx.demands, rng, &faults);
+  util::Rng clean_rng(41);
+  const auto clean = mc.run_prete(fx.demands, clean_rng);
+
+  EXPECT_EQ(faulted.faults_injected, 0);
+  EXPECT_EQ(faulted.mean_flow_availability, clean.mean_flow_availability);
+  EXPECT_EQ(faulted.standard_error, clean.standard_error);
+  EXPECT_EQ(faulted.epochs_with_degradation, clean.epochs_with_degradation);
+  EXPECT_EQ(faulted.epochs_with_cut, clean.epochs_with_cut);
+}
+
 TEST(FaultInjectorTest, FaultedRunIsBitIdenticalAcrossThreadCounts) {
   McFixture fx;
   const MonteCarloStudy mc(fx.topo, fx.stats, fx.config(400));
