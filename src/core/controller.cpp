@@ -202,6 +202,9 @@ ControlDecision Controller::run_pipeline(
     decision.hint_accepted = outcome.solver_result.hint_accepted;
     decision.hint_rejected = outcome.solver_result.hint_rejected;
     decision.hint_pivots_saved = outcome.solver_result.hint_pivots_saved;
+    decision.capped_subproblems = outcome.solver_result.capped_subproblems;
+    decision.capped_violated_pairs =
+        outcome.solver_result.capped_violated_pairs;
     decision.deadline_exceeded = outcome.solver_result.deadline_exceeded;
     // Harvest the solve as a training example against the post-update
     // problem (the trace's allocation spans the grown tunnel table).

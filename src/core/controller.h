@@ -87,6 +87,12 @@ struct ControlDecision {
   int hint_accepted = 0;
   int hint_rejected = 0;
   int hint_pivots_saved = 0;
+  // Row-cap provenance of the solve (see te::MinMaxResult): subproblems
+  // accepted at the bounded-basis stop, and the selected (flow, scenario)
+  // pairs their allocations left violated. Reported phi does not account
+  // for those pairs. All zero when the solve threw.
+  int capped_subproblems = 0;
+  int capped_violated_pairs = 0;
   // Degradation-ladder bookkeeping: which rung produced `policy`, whether
   // the solve deadline expired on the way, and the Benders bound gap of the
   // installed policy (0 at proven optimality, 1.0 on the ladder's lower

@@ -19,10 +19,9 @@ SimplexBasis SimplexBasis::truncated(int rows, int structurals) const {
                                structural_status.begin() + structurals);
   out.slack_status.assign(slack_status.begin(), slack_status.begin() + rows);
   out.basic.assign(basic.begin(), basic.begin() + rows);
-  out.basic_value.assign(basic_value.begin(), basic_value.begin() + rows);
 
   // Basis entries pointing at dropped slack or structural columns cannot
-  // survive; their rows fall back to an artificial start.
+  // survive; the engine seats each such row's own slack instead.
   for (auto& entry : out.basic) {
     if ((entry.kind == Kind::kSlack && entry.index >= rows) ||
         (entry.kind == Kind::kStructural && entry.index >= structurals)) {
@@ -100,6 +99,24 @@ class SimplexEngine {
   Solution run(const Model& model) {
     Solution solution;
     int total_iters = 0;
+    const auto stop = [&](SolveStatus status) {
+      solution.status = status;
+      solution.iterations = total_iters;
+      return solution;
+    };
+
+    // Dual phase of a warm start whose slack-padded basis is dual feasible
+    // but violates bounds. Any outcome other than a feasible point or an
+    // expired budget falls back to the artificial start, deterministically.
+    if (dual_start_) {
+      const DualOutcome outcome = dual_phase(ws_.phase2_cost, total_iters);
+      if (outcome == DualOutcome::kLimit) return stop(SolveStatus::kIterationLimit);
+      if (outcome != DualOutcome::kFeasible) {
+        ws_.status = start_status_;
+        ws_.nonbasic_value = start_value_;
+        install_artificial_basis();
+      }
+    }
 
     // Phase 1: minimize the sum of artificial variables. With a warm basis
     // and no basic artificials this terminates without a single pivot.
@@ -109,14 +126,10 @@ class SimplexEngine {
     }
     const SolveStatus phase1 = optimize(phase1_cost, /*phase1=*/true, total_iters);
     if (phase1 == SolveStatus::kIterationLimit) {
-      solution.status = SolveStatus::kIterationLimit;
-      solution.iterations = total_iters;
-      return solution;
+      return stop(SolveStatus::kIterationLimit);
     }
     if (current_objective(phase1_cost) > 1e3 * options_.feasibility_tol) {
-      solution.status = SolveStatus::kInfeasible;
-      solution.iterations = total_iters;
-      return solution;
+      return stop(SolveStatus::kInfeasible);
     }
     // Lock the artificials at zero for phase 2.
     for (int j = first_artificial_; j < ws_.total; ++j) {
@@ -125,6 +138,16 @@ class SimplexEngine {
         ws_.status[static_cast<std::size_t>(j)] = VarStatus::kAtLower;
         ws_.nonbasic_value[static_cast<std::size_t>(j)] = 0.0;
       }
+    }
+    // A phase-1 optimum can leave an artificial basic at a small positive
+    // residue. Locked at zero it now violates its bound, and the phase-1
+    // basis is dual feasible for the phase-1 costs, so the dual phase either
+    // drives the residue out or proves the rows cannot be met. A point that
+    // stays infeasible is never reported as optimal.
+    if (!basic_point_feasible()) {
+      const DualOutcome outcome = dual_phase(phase1_cost, total_iters);
+      if (outcome == DualOutcome::kLimit) return stop(SolveStatus::kIterationLimit);
+      if (outcome != DualOutcome::kFeasible) return stop(SolveStatus::kInfeasible);
     }
 
     const SolveStatus phase2 = optimize(ws_.phase2_cost, /*phase1=*/false, total_iters);
@@ -203,7 +226,6 @@ class SimplexEngine {
           to_status(ws_.status[static_cast<std::size_t>(ws_.num_structural + i)]);
     }
     out.basic.resize(static_cast<std::size_t>(ws_.m));
-    out.basic_value.resize(static_cast<std::size_t>(ws_.m));
     for (int r = 0; r < ws_.m; ++r) {
       const int b = ws_.basis[static_cast<std::size_t>(r)];
       SimplexBasis::Entry entry;
@@ -215,8 +237,6 @@ class SimplexEngine {
         entry = {SimplexBasis::Kind::kArtificial, 0};
       }
       out.basic[static_cast<std::size_t>(r)] = entry;
-      out.basic_value[static_cast<std::size_t>(r)] =
-          ws_.basic_value[static_cast<std::size_t>(r)];
     }
   }
 
@@ -349,24 +369,11 @@ class SimplexEngine {
     }
   }
 
-  // Residual b - A x of the current nonbasic starting point, with planned
-  // basic columns (plan[r] >= 0) taken at `basic_guess[r]` instead.
-  std::vector<double> starting_residual(const std::vector<int>& plan,
-                                        const std::vector<double>& basic_guess) const {
+  // Residual b - A x of the current nonbasic starting point.
+  std::vector<double> starting_residual() const {
     std::vector<double> residual = ws_.rhs;
-    std::vector<double> value(static_cast<std::size_t>(first_artificial_), 0.0);
     for (int j = 0; j < first_artificial_; ++j) {
-      value[static_cast<std::size_t>(j)] =
-          ws_.nonbasic_value[static_cast<std::size_t>(j)];
-    }
-    for (int r = 0; r < ws_.m; ++r) {
-      if (plan[static_cast<std::size_t>(r)] >= 0) {
-        value[static_cast<std::size_t>(plan[static_cast<std::size_t>(r)])] =
-            basic_guess[static_cast<std::size_t>(r)];
-      }
-    }
-    for (int j = 0; j < first_artificial_; ++j) {
-      const double xj = value[static_cast<std::size_t>(j)];
+      const double xj = ws_.nonbasic_value[static_cast<std::size_t>(j)];
       if (xj == 0.0) continue;
       for (const auto& entry : ws_.columns[static_cast<std::size_t>(j)]) {
         residual[static_cast<std::size_t>(entry.var)] -= entry.value * xj;
@@ -376,14 +383,18 @@ class SimplexEngine {
   }
 
   // Tries to seat the hinted basis: hinted columns stay basic in their rows,
-  // rows beyond the hint (or hinted-artificial rows) get a fresh artificial
-  // sized to absorb the residual. Falls back (returns false, state restored)
-  // if the hint is inconsistent, the basis is singular, or the implied basic
-  // point is primal-infeasible — primal phase 1 can only repair artificials.
+  // and every row beyond the hint (or hinted artificial) gets its own slack
+  // as the basic column. A point inside the bounds starts primal phase 2
+  // directly; a point that violates bounds while every reduced cost keeps
+  // its sign starts the dual phase (appended rows and changed right-hand
+  // sides both land here). Anything else — an inconsistent hint, a slack
+  // already basic in another row, a singular basis, or a point neither
+  // primal nor dual feasible — returns false with the state restored, and
+  // the caller takes the all-artificial start.
   bool install_warm_basis(const SimplexBasis& warm) {
     const int n = ws_.num_structural;
     const int m = ws_.m;
-    std::vector<int> plan(static_cast<std::size_t>(m), -1);  // -1 = artificial
+    std::vector<int> plan(static_cast<std::size_t>(m), -1);
     std::vector<char> used(static_cast<std::size_t>(first_artificial_), 0);
     for (int r = 0; r < warm.num_rows(); ++r) {
       const SimplexBasis::Entry entry = warm.basic[static_cast<std::size_t>(r)];
@@ -395,64 +406,228 @@ class SimplexEngine {
         if (entry.index < 0 || entry.index >= warm.num_rows()) return false;
         col = n + entry.index;
       } else {
-        continue;  // artificial row
+        continue;  // artificial row: filled with its slack below
       }
       if (used[static_cast<std::size_t>(col)]) return false;
       used[static_cast<std::size_t>(col)] = 1;
       plan[static_cast<std::size_t>(r)] = col;
     }
-
-    std::vector<double> basic_guess(static_cast<std::size_t>(m), 0.0);
-    for (int r = 0; r < warm.num_rows(); ++r) {
-      basic_guess[static_cast<std::size_t>(r)] =
-          warm.basic_value[static_cast<std::size_t>(r)];
-    }
-    const std::vector<double> residual = starting_residual(plan, basic_guess);
-
-    const std::vector<VarStatus> status_backup = ws_.status;
     for (int r = 0; r < m; ++r) {
-      int col = plan[static_cast<std::size_t>(r)];
-      if (col < 0) {
-        col = first_artificial_ + r;
-        const double sgn = residual[static_cast<std::size_t>(r)] >= 0.0 ? 1.0 : -1.0;
-        ws_.columns[static_cast<std::size_t>(col)].assign(1, {r, sgn});
-        ws_.basic_value[static_cast<std::size_t>(r)] =
-            std::abs(residual[static_cast<std::size_t>(r)]);
-      } else {
-        ws_.basic_value[static_cast<std::size_t>(r)] =
-            basic_guess[static_cast<std::size_t>(r)];
-      }
+      if (plan[static_cast<std::size_t>(r)] >= 0) continue;
+      const int slack = n + r;
+      if (used[static_cast<std::size_t>(slack)]) return false;
+      used[static_cast<std::size_t>(slack)] = 1;
+      plan[static_cast<std::size_t>(r)] = slack;
+    }
+
+    start_status_ = ws_.status;
+    start_value_ = ws_.nonbasic_value;
+    for (int r = 0; r < m; ++r) {
+      const int col = plan[static_cast<std::size_t>(r)];
       ws_.status[static_cast<std::size_t>(col)] = VarStatus::kBasic;
       ws_.basis[static_cast<std::size_t>(r)] = col;
     }
-
-    bool ok = refactorize();  // also recomputes the basic values exactly
-    if (ok) {
-      const double tol = 1e3 * options_.feasibility_tol;
-      for (int r = 0; r < m && ok; ++r) {
-        const int b = ws_.basis[static_cast<std::size_t>(r)];
-        const double v = ws_.basic_value[static_cast<std::size_t>(r)];
-        ok = v >= ws_.lower[static_cast<std::size_t>(b)] - tol &&
-             v <= ws_.upper[static_cast<std::size_t>(b)] + tol;
-      }
+    bool ok = refactorize();  // also computes the basic values exactly
+    if (ok && !basic_point_feasible()) {
+      ok = dual_feasible(ws_.phase2_cost);
+      dual_start_ = ok;
     }
     if (!ok) {
-      ws_.status = status_backup;
-      for (int r = 0; r < m; ++r) {
-        ws_.columns[static_cast<std::size_t>(first_artificial_ + r)].clear();
+      ws_.status = start_status_;
+      dual_start_ = false;
+    }
+    return ok;
+  }
+
+  // True when every basic value lies within its bounds up to the primal
+  // feasibility tolerance.
+  bool basic_point_feasible() const {
+    const double tol = options_.feasibility_tol;
+    for (int r = 0; r < ws_.m; ++r) {
+      const int b = ws_.basis[static_cast<std::size_t>(r)];
+      const double v = ws_.basic_value[static_cast<std::size_t>(r)];
+      if (v < ws_.lower[static_cast<std::size_t>(b)] - tol ||
+          v > ws_.upper[static_cast<std::size_t>(b)] + tol) {
+        return false;
       }
-      return false;
     }
     return true;
+  }
+
+  // True when no movable nonbasic column prices out under `cost` with exact
+  // duals: the current basis is then a valid start for the dual phase.
+  bool dual_feasible(const std::vector<double>& cost) {
+    std::vector<double> y;
+    compute_duals(cost, y);
+    for (int j = 0; j < ws_.total; ++j) {
+      const VarStatus st = ws_.status[static_cast<std::size_t>(j)];
+      if (st == VarStatus::kBasic ||
+          ws_.lower[static_cast<std::size_t>(j)] ==
+              ws_.upper[static_cast<std::size_t>(j)]) {
+        continue;
+      }
+      const double d = reduced_cost(j, cost, y);
+      if ((st != VarStatus::kAtUpper && d < -options_.optimality_tol) ||
+          (st != VarStatus::kAtLower && d > options_.optimality_tol)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  enum class DualOutcome { kFeasible, kInfeasible, kFailed, kLimit };
+
+  // Bounded dual simplex from a dual feasible basis. Each pass lets the
+  // basic variable with the largest bound violation leave at the violated
+  // bound; the textbook bounded ratio test over its pivot row picks the
+  // entering column that keeps every reduced cost's sign (Harris' two
+  // passes, larger pivot among the near-ties, then the lower index). Every
+  // pass is charged to the deadline. Returns kFeasible once the basic point
+  // is within its bounds, kInfeasible when a violated row admits no
+  // entering column (the rows cannot be met), kLimit on an expired budget,
+  // and kFailed on numerical trouble, an exhausted iteration cap, or a stall:
+  // more than `degenerate_pivot_limit` consecutive pivots that neither move
+  // the dual objective nor lower the total bound violation below its best.
+  DualOutcome dual_phase(const std::vector<double>& cost, int& total_iters) {
+    const int m = ws_.m;
+    const int max_iters = options_.max_iterations > 0
+                              ? options_.max_iterations
+                              : 2000 + 40 * (ws_.total + m);
+    const double tol = options_.feasibility_tol;
+    const double dtol = options_.optimality_tol;
+    constexpr double kPivotTol = 1e-9;
+    std::vector<double> w(static_cast<std::size_t>(m), 0.0);
+    std::vector<double> y;
+    compute_duals(cost, y);
+    basis_.reset_refactor_counter();
+    int stall = 0;
+    double best_violation = kInfinity;
+    struct Candidate {
+      int j;
+      double mag;    // |pivot-row entry|
+      double slack;  // distance of the reduced cost from changing sign
+    };
+    std::vector<Candidate> candidates;
+
+    for (int iter = 0; iter < max_iters; ++iter, ++total_iters) {
+      if (options_.deadline != nullptr) {
+        if (options_.deadline->expired()) return DualOutcome::kLimit;
+        options_.deadline->charge_pivots();
+      }
+      // Leaving row: the largest bound violation, lowest row on ties.
+      int leaving = -1;
+      bool to_lower = false;
+      double worst = tol;
+      double violation = 0.0;
+      for (int r = 0; r < m; ++r) {
+        const int b = ws_.basis[static_cast<std::size_t>(r)];
+        const double v = ws_.basic_value[static_cast<std::size_t>(r)];
+        const double below = ws_.lower[static_cast<std::size_t>(b)] - v;
+        const double above = v - ws_.upper[static_cast<std::size_t>(b)];
+        if (below > tol) violation += below;
+        if (above > tol) violation += above;
+        if (below > worst) {
+          worst = below;
+          leaving = r;
+          to_lower = true;
+        } else if (above > worst) {
+          worst = above;
+          leaving = r;
+          to_lower = false;
+        }
+      }
+      if (leaving < 0) return DualOutcome::kFeasible;
+
+      // Ratio test over the pivot row. Raising a basic variable to its
+      // lower bound needs an entering column with a negative row entry when
+      // it sits at its lower bound (positive at its upper); lowering one to
+      // its upper bound needs the opposite signs.
+      basis_.pivot_row(leaving, rho_);
+      candidates.clear();
+      double bound = kInfinity;  // Harris pass 1: the relaxed step bound
+      for (int j = 0; j < ws_.total; ++j) {
+        const VarStatus st = ws_.status[static_cast<std::size_t>(j)];
+        if (st == VarStatus::kBasic ||
+            ws_.lower[static_cast<std::size_t>(j)] ==
+                ws_.upper[static_cast<std::size_t>(j)]) {
+          continue;
+        }
+        double alpha = 0.0;
+        for (const auto& entry : ws_.columns[static_cast<std::size_t>(j)]) {
+          alpha += rho_[static_cast<std::size_t>(entry.var)] * entry.value;
+        }
+        if (to_lower) alpha = -alpha;
+        const bool up_ok = st != VarStatus::kAtUpper && alpha > kPivotTol;
+        const bool down_ok = st != VarStatus::kAtLower && alpha < -kPivotTol;
+        if (!up_ok && !down_ok) continue;
+        const double d = reduced_cost(j, cost, y);
+        const double slack = up_ok ? std::max(d, 0.0) : std::max(-d, 0.0);
+        const double mag = std::abs(alpha);
+        candidates.push_back({j, mag, slack});
+        bound = std::min(bound, (slack + dtol) / mag);
+      }
+      if (candidates.empty()) return DualOutcome::kInfeasible;
+      int entering = -1;
+      double best_mag = 0.0;
+      for (const Candidate& c : candidates) {
+        if (c.slack / c.mag <= bound && c.mag > best_mag) {
+          best_mag = c.mag;
+          entering = c.j;
+        }
+      }
+      if (entering < 0) return DualOutcome::kFailed;
+
+      basis_.ftran(ws_.columns[static_cast<std::size_t>(entering)], w);
+      const double pivot = w[static_cast<std::size_t>(leaving)];
+      if (std::abs(pivot) < kPivotTol ||
+          std::abs(std::abs(pivot) - best_mag) > 1e-6 * std::max(1.0, best_mag)) {
+        return DualOutcome::kFailed;  // FTRAN and the pivot row disagree
+      }
+      const double d_q = reduced_cost(entering, cost, y);
+      const bool progress =
+          std::abs(d_q) > dtol || violation < best_violation - tol;
+      best_violation = std::min(best_violation, violation);
+      stall = progress ? 0 : stall + 1;
+      if (stall > options_.degenerate_pivot_limit) return DualOutcome::kFailed;
+
+      // Primal step: the leaving variable lands exactly on its bound.
+      const int leave_var = ws_.basis[static_cast<std::size_t>(leaving)];
+      const double target = to_lower ? ws_.lower[static_cast<std::size_t>(leave_var)]
+                                     : ws_.upper[static_cast<std::size_t>(leave_var)];
+      const double step =
+          (ws_.basic_value[static_cast<std::size_t>(leaving)] - target) / pivot;
+      for (int r = 0; r < m; ++r) {
+        ws_.basic_value[static_cast<std::size_t>(r)] -=
+            step * w[static_cast<std::size_t>(r)];
+      }
+      ws_.status[static_cast<std::size_t>(leave_var)] =
+          to_lower ? VarStatus::kAtLower : VarStatus::kAtUpper;
+      ws_.nonbasic_value[static_cast<std::size_t>(leave_var)] = target;
+      ws_.status[static_cast<std::size_t>(entering)] = VarStatus::kBasic;
+      ws_.basis[static_cast<std::size_t>(leaving)] = entering;
+      ws_.basic_value[static_cast<std::size_t>(leaving)] =
+          ws_.nonbasic_value[static_cast<std::size_t>(entering)] + step;
+
+      // Dual step along the same pre-pivot row: y' = y + (d_q / w_r) rho.
+      const double theta_d = d_q / pivot;
+      if (theta_d != 0.0) {
+        for (int i = 0; i < m; ++i) {
+          y[static_cast<std::size_t>(i)] += theta_d * rho_[static_cast<std::size_t>(i)];
+        }
+      }
+      if (basis_.update(leaving, w)) {
+        if (!refactorize()) return DualOutcome::kFailed;
+        compute_duals(cost, y);
+      }
+    }
+    return DualOutcome::kFailed;
   }
 
   // The all-artificial cold basis (also the warm-start fallback), absorbing
   // whatever residual the current nonbasic starting point leaves.
   void install_artificial_basis() {
     const int m = ws_.m;
-    const std::vector<int> no_plan(static_cast<std::size_t>(m), -1);
-    const std::vector<double> residual =
-        starting_residual(no_plan, std::vector<double>(static_cast<std::size_t>(m), 0.0));
+    const std::vector<double> residual = starting_residual();
     std::vector<double> signs(static_cast<std::size_t>(m), 1.0);
     for (int i = 0; i < m; ++i) {
       const int art = first_artificial_ + i;
@@ -877,6 +1052,11 @@ class SimplexEngine {
   std::vector<const std::vector<Coefficient>*> basis_cols_;
   std::vector<double> cb_;
   std::vector<double> rho_;
+  // Warm start that begins with the dual phase, and the hint-overlaid
+  // nonbasic point its fallback to the artificial start returns to.
+  bool dual_start_ = false;
+  std::vector<VarStatus> start_status_;
+  std::vector<double> start_value_;
 };
 
 }  // namespace

@@ -106,14 +106,11 @@ struct SimplexBasis {
   std::vector<Status> structural_status;  // per structural variable
   std::vector<Status> slack_status;       // per row
   std::vector<Entry> basic;               // basic column of each row
-  std::vector<double> basic_value;        // value of that column at the optimum
 
   int num_structural() const { return static_cast<int>(structural_status.size()); }
   int num_rows() const { return static_cast<int>(slack_status.size()); }
   bool valid() const {
-    return !slack_status.empty() &&
-           basic.size() == slack_status.size() &&
-           basic_value.size() == slack_status.size();
+    return !slack_status.empty() && basic.size() == slack_status.size();
   }
 
   // Hint for a model that keeps only the first `rows` rows of the snapshot's
@@ -126,11 +123,24 @@ struct SimplexBasis {
   SimplexBasis truncated(int rows, int structurals = -1) const;
 };
 
-// Two-phase bounded-variable revised primal simplex. The basis inverse is
-// kept either as an explicit dense matrix or (the default) as a product-form
-// eta file anchored at periodic dense reinversions — see BasisKernel.
-// Designed for the mid-sized LPs produced by the TE formulations (hundreds
-// to a few thousand rows once lazy row generation is applied).
+// Two-phase bounded-variable revised primal simplex with a dual phase for
+// warm starts. The basis inverse is kept either as an explicit dense matrix
+// or (the default) as a product-form eta file anchored at periodic dense
+// reinversions — see BasisKernel. Designed for the mid-sized LPs produced by
+// the TE formulations (hundreds to a few thousand rows once lazy row
+// generation is applied).
+//
+// A warm start seats the hinted basis and gives every row the hint does not
+// cover its own slack. When that point violates bounds but every reduced
+// cost keeps its sign — rows appended since the hint, or right-hand sides
+// that moved — a bounded dual simplex phase restores primal feasibility,
+// and primal phase 2 then certifies optimality with exact duals. A hint that
+// cannot be seated this way (neither primal nor dual feasible, a slack
+// already basic elsewhere, a singular basis) and a dual phase that stalls
+// fall back to the all-artificial start; both fallbacks are deterministic.
+// The same dual phase, under the phase-1 costs, removes an artificial
+// residue a phase-1 optimum can leave behind; an LP whose residue it cannot
+// remove is reported kInfeasible, never kOptimal.
 //
 // The returned duals are shadow prices d(objective)/d(rhs) in the model's
 // own sense (for kMaximize they are the derivatives of the maximum).
@@ -148,11 +158,14 @@ class SimplexSolver {
   // so solve sequences stay deterministic at any thread count.
   //
   // Status contract on kIterationLimit (pivot cap or an expired
-  // options.deadline): if the limit fell in phase 2 the solution carries the
-  // incumbent — a primal-feasible `x` and its true `objective` — so callers
-  // can install it as a best-effort answer; `duals` stay empty because the
-  // incumbent basis is not dual-feasible (never build cuts from it). A limit
-  // during phase 1 returns an empty `x`: no feasible point was reached.
+  // options.deadline; dual-phase pivots are charged like any other): if the
+  // limit fell in phase 2 the solution carries the incumbent — a
+  // primal-feasible `x` and its true `objective` — so callers can install it
+  // as a best-effort answer; `duals` stay empty because the incumbent basis
+  // is not dual-feasible (never build cuts from it). A limit during phase 1
+  // or during a dual phase returns an empty `x`: no feasible point was
+  // reached. A kOptimal solution satisfies every row and bound up to the
+  // feasibility tolerance.
   Solution solve(const Model& model, const SimplexBasis* warm,
                  SimplexBasis* basis_out) const;
 

@@ -11,7 +11,7 @@ double shortest_path_max_utilization(const Network& net,
                                      const std::vector<Flow>& flows,
                                      const TrafficMatrix& tm) {
   std::vector<double> load(static_cast<std::size_t>(net.num_links()), 0.0);
-  const LinkWeight weight = fiber_length_weight(net);
+  const auto weight = fiber_length_weight(net);
   for (const Flow& flow : flows) {
     const auto path = shortest_path(net, flow.src, flow.dst, weight);
     if (!path) throw std::runtime_error("disconnected flow in traffic gen");

@@ -50,7 +50,7 @@ void TunnelSet::clear_dynamic() {
 TunnelSet build_tunnels(const Network& net, const std::vector<Flow>& flows,
                         const TunnelConfig& config) {
   TunnelSet tunnels(static_cast<int>(flows.size()));
-  const LinkWeight weight = fiber_length_weight(net);
+  const auto weight = fiber_length_weight(net);
   for (const Flow& flow : flows) {
     std::vector<Path> chosen = fiber_disjoint_paths(
         net, flow.src, flow.dst, config.disjoint_tunnels, weight);

@@ -145,17 +145,19 @@ std::uint64_t cut_environment_signature(const TeProblem& problem) {
   return h;
 }
 
-MinMaxResult solve_min_max_direct(const TeProblem& problem,
-                                  const ScenarioSet& scenarios,
-                                  const MinMaxOptions& options) {
-  check_mass(scenarios, options.beta);
+DirectModel build_min_max_direct_model(const TeProblem& problem,
+                                       const ScenarioSet& scenarios,
+                                       double beta) {
   const SurvivalTable survival = build_survival_table(problem, scenarios);
   const auto& flows = *problem.flows;
   const auto& Q = scenarios.scenarios;
 
-  lp::Model model(lp::Sense::kMinimize);
-  const std::vector<int> alloc = add_allocation_variables(model, problem);
+  DirectModel direct;
+  lp::Model& model = direct.model;
+  direct.alloc = add_allocation_variables(model, problem);
+  const std::vector<int>& alloc = direct.alloc;
   const int phi = model.add_variable(0.0, 1.0, 1.0, "Phi");
+  direct.phi = phi;
   // delta_{f,q} binaries and l_{f,q} losses.
   std::map<std::pair<int, std::size_t>, int> delta;
   std::map<std::pair<int, std::size_t>, int> loss;
@@ -188,9 +190,20 @@ MinMaxResult solve_min_max_direct(const TeProblem& problem,
                      {delta[{flow.id, q}], -1.0}},
                     lp::RowType::kGreaterEqual, -1.0);
     }
-    model.add_row(std::move(avail_row), lp::RowType::kGreaterEqual,
-                  options.beta);
+    model.add_row(std::move(avail_row), lp::RowType::kGreaterEqual, beta);
   }
+  return direct;
+}
+
+MinMaxResult solve_min_max_direct(const TeProblem& problem,
+                                  const ScenarioSet& scenarios,
+                                  const MinMaxOptions& options) {
+  check_mass(scenarios, options.beta);
+  const DirectModel direct =
+      build_min_max_direct_model(problem, scenarios, options.beta);
+  const lp::Model& model = direct.model;
+  const std::vector<int>& alloc = direct.alloc;
+  const int phi = direct.phi;
 
   lp::BranchAndBoundOptions bb;
   bb.max_nodes = 50000;
@@ -305,6 +318,225 @@ bool hint_allocation_feasible(const TeProblem& problem,
     }
   }
   return true;
+}
+
+// Lowers the greedy master's selection on the envelope of this solve's own
+// cuts, E(delta) = max over fresh cuts of cut.value(delta). The greedy drop
+// order ranks scenarios by their largest weight in any one cut, so it can
+// land on a selection whose envelope is far above the best one — and equal
+// weights that differ only in their last bits decide which. Only pairs some
+// fresh cut weighs can move E; every other entry of delta keeps the greedy's
+// choice and its probability stays charged to the flow's budget.
+//  - When every flow's per-flow choices (the maximal drop subsets of its
+//    weighed pairs that fit the budget) are few enough, all combinations are
+//    enumerated and the lowest envelope wins: the master is then exact.
+//  - Otherwise a 1-swap descent moves one flow at a time: drop a kept
+//    weighed pair, possibly keeping a dropped one in exchange, while the
+//    budget holds; the steepest strict decrease is taken until none is left.
+// A candidate replaces the greedy selection only when it lowers E by more
+// than rounding noise, so instances the greedy already solves keep its
+// selection bit for bit. Serial and in ascending (flow, scenario) order:
+// the result is independent of the pool size.
+void descend_master(const std::vector<BendersCut>& cuts,
+                    const std::vector<FailureScenario>& Q,
+                    const std::vector<std::vector<char>>& fatal,
+                    const std::vector<double>& budget,
+                    std::vector<std::vector<char>>& delta) {
+  constexpr double kImprovement = 1e-12;
+  constexpr std::size_t kMaxExactSupport = 12;
+  constexpr std::size_t kMaxExactWork = std::size_t{1} << 22;
+  constexpr int kMaxSwapRounds = 256;
+
+  std::vector<const BendersCut*> fresh;
+  for (const BendersCut& c : cuts) {
+    if (c.bank_index < 0 && !c.steering) fresh.push_back(&c);
+  }
+  if (fresh.empty()) return;
+  const std::size_t F = delta.size();
+  // Weighed pairs per flow, ascending by scenario, and their column in the
+  // dense per-cut weight table.
+  std::vector<std::vector<std::size_t>> support(F);
+  for (const BendersCut* c : fresh) {
+    for (const auto& [key, w] : c->weights) {
+      const auto f = static_cast<std::size_t>(key.first);
+      if (w > 0.0 && !fatal[f][key.second]) support[f].push_back(key.second);
+    }
+  }
+  std::vector<std::size_t> column_start(F + 1, 0);
+  for (std::size_t f = 0; f < F; ++f) {
+    auto& s = support[f];
+    std::sort(s.begin(), s.end());
+    s.erase(std::unique(s.begin(), s.end()), s.end());
+    column_start[f + 1] = column_start[f] + s.size();
+  }
+  const std::size_t P = column_start[F];
+  if (P == 0) return;
+  const auto column = [&](std::size_t f, std::size_t q) {
+    const auto& s = support[f];
+    return column_start[f] + static_cast<std::size_t>(
+                                 std::lower_bound(s.begin(), s.end(), q) -
+                                 s.begin());
+  };
+  const std::size_t C = fresh.size();
+  std::vector<double> table(C * P, 0.0);  // table[c * P + p]
+  for (std::size_t c = 0; c < C; ++c) {
+    for (const auto& [key, w] : fresh[c]->weights) {
+      const auto f = static_cast<std::size_t>(key.first);
+      if (w > 0.0 && !fatal[f][key.second]) {
+        table[c * P + column(f, key.second)] += w;
+      }
+    }
+  }
+  // Budget left per flow once the drops outside its weighed pairs are paid.
+  std::vector<double> room(F, 0.0);
+  for (std::size_t f = 0; f < F; ++f) {
+    double fixed = 0.0;
+    std::size_t next = 0;
+    for (std::size_t q = 0; q < Q.size(); ++q) {
+      const bool weighed = next < support[f].size() && support[f][next] == q;
+      if (weighed) {
+        ++next;
+      } else if (!delta[f][q] && !fatal[f][q]) {
+        fixed += Q[q].probability;
+      }
+    }
+    room[f] = budget[f] - fixed;
+  }
+  // Per-cut values at the current selection.
+  std::vector<char> kept(P, 0);
+  for (std::size_t f = 0; f < F; ++f) {
+    for (std::size_t i = 0; i < support[f].size(); ++i) {
+      kept[column_start[f] + i] = delta[f][support[f][i]];
+    }
+  }
+  const auto values_of = [&](const std::vector<char>& keep) {
+    std::vector<double> v(C);
+    for (std::size_t c = 0; c < C; ++c) {
+      double x = fresh[c]->constant;
+      for (std::size_t p = 0; p < P; ++p) {
+        if (keep[p]) x += table[c * P + p];
+      }
+      v[c] = x;
+    }
+    return v;
+  };
+  const auto envelope = [](const std::vector<double>& v) {
+    return *std::max_element(v.begin(), v.end());
+  };
+  std::vector<double> value = values_of(kept);
+  const double greedy_envelope = envelope(value);
+
+  // Exact search: per-flow maximal drop subsets, enumerated as bitmasks
+  // over the flow's weighed pairs (bit i = drop support[f][i]).
+  std::vector<std::vector<std::uint32_t>> choices(F);
+  bool exact = true;
+  std::size_t combinations = 1;
+  for (std::size_t f = 0; f < F && exact; ++f) {
+    const std::size_t k = support[f].size();
+    if (k > kMaxExactSupport) {
+      exact = false;
+      break;
+    }
+    for (std::uint32_t mask = 0; mask < (1u << k); ++mask) {
+      double mass = 0.0;
+      for (std::size_t i = 0; i < k; ++i) {
+        if (mask >> i & 1u) mass += Q[support[f][i]].probability;
+      }
+      if (mass > room[f] + 1e-12) continue;
+      bool maximal = true;
+      for (std::size_t i = 0; i < k && maximal; ++i) {
+        maximal = (mask >> i & 1u) ||
+                  mass + Q[support[f][i]].probability > room[f] + 1e-12;
+      }
+      if (maximal) choices[f].push_back(mask);
+    }
+    if (choices[f].empty()) choices[f].push_back(0);
+    combinations *= choices[f].size();
+    exact = combinations * P * C <= kMaxExactWork;
+  }
+  if (exact) {
+    std::vector<std::size_t> pick(F, 0);
+    std::vector<char> trial(P, 1);
+    std::vector<char> best;
+    double best_envelope = greedy_envelope - kImprovement;
+    for (std::size_t n = 0; n < combinations; ++n) {
+      for (std::size_t f = 0; f < F; ++f) {
+        const std::uint32_t mask = choices[f][pick[f]];
+        for (std::size_t i = 0; i < support[f].size(); ++i) {
+          trial[column_start[f] + i] = (mask >> i & 1u) ? 0 : 1;
+        }
+      }
+      const double e = envelope(values_of(trial));
+      if (e < best_envelope) {
+        best_envelope = e;
+        best = trial;
+      }
+      for (std::size_t f = 0; f < F; ++f) {  // odometer
+        if (++pick[f] < choices[f].size()) break;
+        pick[f] = 0;
+      }
+    }
+    if (!best.empty()) kept = std::move(best);
+  } else {
+    std::vector<double> dropped_mass(F, 0.0);
+    for (std::size_t f = 0; f < F; ++f) {
+      for (std::size_t i = 0; i < support[f].size(); ++i) {
+        if (!kept[column_start[f] + i]) {
+          dropped_mass[f] += Q[support[f][i]].probability;
+        }
+      }
+    }
+    double current = greedy_envelope;
+    std::vector<double> trial(C);
+    for (int round = 0; round < kMaxSwapRounds; ++round) {
+      // Move: drop column `in` and keep column `out` (out == P: none).
+      std::size_t best_f = F;
+      std::size_t best_in = P;
+      std::size_t best_out = P;
+      double best_envelope = current - kImprovement;
+      for (std::size_t f = 0; f < F; ++f) {
+        const std::size_t begin = column_start[f];
+        const std::size_t end = column_start[f + 1];
+        for (std::size_t in = begin; in < end; ++in) {
+          if (!kept[in]) continue;
+          const double p_in = Q[support[f][in - begin]].probability;
+          for (std::size_t out = begin; out <= end; ++out) {
+            const bool none = out == end;
+            if (!none && kept[out]) continue;
+            const double p_out =
+                none ? 0.0 : Q[support[f][out - begin]].probability;
+            if (dropped_mass[f] - p_out + p_in > room[f] + 1e-12) continue;
+            for (std::size_t c = 0; c < C; ++c) {
+              trial[c] = value[c] - table[c * P + in] +
+                         (none ? 0.0 : table[c * P + out]);
+            }
+            const double e = envelope(trial);
+            if (e < best_envelope) {
+              best_envelope = e;
+              best_f = f;
+              best_in = in;
+              best_out = none ? P : out;
+            }
+          }
+        }
+      }
+      if (best_f == F) break;
+      const std::size_t f = best_f;
+      kept[best_in] = 0;
+      dropped_mass[f] += Q[support[f][best_in - column_start[f]]].probability;
+      if (best_out != P) {
+        kept[best_out] = 1;
+        dropped_mass[f] -= Q[support[f][best_out - column_start[f]]].probability;
+      }
+      value = values_of(kept);
+      current = envelope(value);
+    }
+  }
+  for (std::size_t f = 0; f < F; ++f) {
+    for (std::size_t i = 0; i < support[f].size(); ++i) {
+      delta[f][support[f][i]] = kept[column_start[f] + i];
+    }
+  }
 }
 
 bool same_cut_terms(const std::vector<CutBank::Term>& a,
@@ -733,6 +965,10 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
   }
 
   std::vector<std::vector<char>> best_delta = delta;
+  std::vector<double> flow_budget(flows.size());
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    flow_budget[f] = base_budget - pinned_mass[f];
+  }
 
   // Master pass: per-flow scenario selection over the current cut list.
   // Each flow's pass is independent — it aggregates its own cut weights
@@ -775,7 +1011,7 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
           if (!trace_weights.empty()) trace_weights[f] = weight;
           auto& df = delta[f];
           const auto& pins = fatal[f];
-          const double budget = base_budget - pinned_mass[f];
+          const double budget = flow_budget[f];
           for (std::size_t q = 0; q < Q.size(); ++q) df[q] = pins[q] ? 0 : 1;
           // Drop scenarios in decreasing weight while the mass budget
           // allows; ties broken toward lower-probability scenarios (cheaper
@@ -929,12 +1165,25 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
       // would not be covered by `warm` until the next solve.
       carry = warm;
       carry_keys = row_keys;
-      if (sp.num_rows() >= kMaxTotalRows) {
-        sp_ok = true;  // bounded-basis stop: accept the current subproblem
-        break;
-      }
       constexpr double kTol = 1e-7;
       const double phi_val = sp_solution.x[static_cast<std::size_t>(phi)];
+      if (sp.num_rows() >= kMaxTotalRows) {
+        // Bounded-basis stop: accept the current subproblem, and count the
+        // selected pairs its allocation leaves above phi.
+        sp_ok = true;
+        ++result.capped_subproblems;
+        for (std::size_t q = 0; q < Q.size(); ++q) {
+          for (const net::Flow& flow : flows) {
+            if (delta[static_cast<std::size_t>(flow.id)][q] &&
+                1.0 - phi_val - alive_fraction(problem, sp_solution, alloc,
+                                               flow.id, survival.row(q)) >
+                    kTol) {
+              ++result.capped_violated_pairs;
+            }
+          }
+        }
+        break;
+      }
       // Collect the globally worst violated (f, q) rows. Scenarios price in
       // parallel (reads only); concatenation in scenario order keeps the
       // list identical to the serial sweep.
@@ -1012,6 +1261,7 @@ MinMaxResult solve_min_max_benders(const TeProblem& problem,
 
     // ---- Master: per-flow scenario selection. ----
     run_master();
+    descend_master(cuts, Q, fatal, flow_budget, delta);
 
     // Lower bound estimate: the master value at the new delta. The cut list
     // grows linearly with iterations and each evaluation is independent;

@@ -149,6 +149,14 @@ struct MinMaxResult {
   int hint_accepted = 0;
   int hint_rejected = 0;
   int hint_pivots_saved = 0;
+  // Bounded-basis stops: subproblems accepted because their lazy LP reached
+  // the row cap, and the delta-selected (flow, scenario) pairs whose loss
+  // under that subproblem's allocation still exceeds its phi (summed over
+  // the stops). Such a subproblem's phi understates the allocation's true
+  // worst selected-pair loss; these counters only make that visible, they
+  // change no decision.
+  int capped_subproblems = 0;
+  int capped_violated_pairs = 0;
   // Solve trace for oracle harvesting, filled only when
   // MinMaxOptions::collect_trace is set and the solve converged: the
   // converged master drop set (excluding pre-pinned fatal scenarios) and
@@ -313,6 +321,19 @@ struct BendersBounds {
   // Reporting form: lower_bound <= upper_bound always holds for callers.
   double clamped_lower() const { return std::min(lower, upper); }
 };
+
+// The exact mixed-integer program behind solve_min_max_direct: allocation
+// variables, Phi, and per (flow, scenario) a binary delta and a loss l with
+// rows (4) sum_{t alive} a + d * l >= d and (6) Phi - l - delta >= -1, the
+// capacity rows, and per flow (5) sum_q p_q delta >= beta.
+struct DirectModel {
+  lp::Model model{lp::Sense::kMinimize};
+  std::vector<int> alloc;  // allocation variable of each tunnel
+  int phi = -1;            // the Phi variable
+};
+DirectModel build_min_max_direct_model(const TeProblem& problem,
+                                       const ScenarioSet& scenarios,
+                                       double beta);
 
 // Exact mixed-integer solve via branch-and-bound over all delta_{f,q}.
 // Only tractable for small instances (|F| x |Q| <~ 60); used as the ground

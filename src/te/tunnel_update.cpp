@@ -12,7 +12,7 @@ TunnelUpdateResult update_tunnels_for_degradation(
     net::TunnelSet& tunnels, net::FiberId degraded_fiber,
     const TunnelUpdateConfig& config) {
   TunnelUpdateResult result;
-  const net::LinkWeight weight = net::fiber_length_weight(network);
+  const auto weight = net::fiber_length_weight(network);
   // Step 1: G'(V, E) = G minus the degraded fiber's links.
   auto usable = [&](const net::Link& link) {
     return link.fiber != degraded_fiber;
@@ -55,9 +55,8 @@ TunnelUpdateResult update_tunnels_for_degradation(
     constexpr int kMaxYenBudget = 64;
     int budget = want + static_cast<int>(existing.size());
     for (;;) {
-      const auto candidates = net::k_shortest_paths(
-          network, flow.src, flow.dst, budget,
-          [&](const net::Link& l) { return weight(l); });
+      const auto candidates =
+          net::k_shortest_paths(network, flow.src, flow.dst, budget, weight);
       for (const net::Path& p : candidates) {
         if (created >= want) break;
         admit(p);

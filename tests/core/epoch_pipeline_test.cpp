@@ -351,9 +351,10 @@ TEST(EpochPipelineTest, LadderRungsUnderOverlapMatchSerialRungs) {
   // Fault schedule: epoch 0 unlimited (kFull, seeds last-good), epoch 1 a
   // solver throw (kLastGood — the incumbent dies with the solve), epoch 2
   // starved mid-refinement (kIncumbent: the pivot budget expires after the
-  // first usable incumbent lands), rest unlimited.
+  // first usable incumbent lands), rest unlimited. The whole solve of
+  // epoch 2 fits in 15 pivots, so a budget of 8 starves it partway.
   auto arm_epoch = [](Controller& c, std::size_t epoch) {
-    c.set_solver_budget(epoch == 2 ? 20 : 0);
+    c.set_solver_budget(epoch == 2 ? 8 : 0);
     if (epoch == 1) c.arm_solver_exception(1);
   };
 

@@ -220,6 +220,89 @@ TEST_P(RandomLpProperty, OptimalIsFeasibleAndDominant) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomLpProperty, ::testing::Range(1, 33));
 
+// Property: a warm start from an optimal basis re-optimizes correctly after
+// the two changes the dual phase serves — rows appended that cut off the old
+// optimum, and right-hand sides that moved — reaching the cold optimum of
+// the changed model with a feasible point.
+class DualPhaseWarmStartProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(DualPhaseWarmStartProperty, AppendedRowsAndMovedRhsMatchCold) {
+  util::Rng rng(static_cast<std::uint64_t>(500 + GetParam()));
+  const int n = 4 + static_cast<int>(rng.next_below(8));
+  const int rows = 3 + static_cast<int>(rng.next_below(8));
+  Model m(Sense::kMaximize);
+  for (int j = 0; j < n; ++j) {
+    m.add_variable(0.0, rng.uniform(0.5, 5.0), rng.uniform(-0.5, 2.0));
+  }
+  std::vector<double> interior(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    interior[static_cast<std::size_t>(j)] =
+        rng.uniform(0.0, m.variable(j).upper);
+  }
+  const auto random_row = [&](double margin) {
+    Row row;
+    double lhs = 0.0;
+    for (int j = 0; j < n; ++j) {
+      if (rng.bernoulli(0.6)) {
+        const double a = rng.uniform(-1.0, 3.0);
+        row.coefficients.push_back({j, a});
+        lhs += a * interior[static_cast<std::size_t>(j)];
+      }
+    }
+    if (row.coefficients.empty()) {
+      row.coefficients.push_back({0, 1.0});
+      lhs = interior[0];
+    }
+    row.type = RowType::kLessEqual;
+    row.rhs = lhs + margin;
+    return row;
+  };
+  for (int i = 0; i < rows; ++i) m.add_row(random_row(rng.uniform(0.0, 2.0)));
+
+  SimplexBasis basis;
+  const Solution first = SimplexSolver().solve(m, nullptr, &basis);
+  ASSERT_EQ(first.status, SolveStatus::kOptimal);
+  ASSERT_TRUE(basis.valid());
+
+  // Appended rows: keep only rows the old optimum violates (the interior
+  // point still meets them, so the model stays feasible).
+  Model grown = m;
+  for (int tries = 0; tries < 20 && grown.num_rows() < m.num_rows() + 3;
+       ++tries) {
+    Row row = random_row(rng.uniform(0.0, 0.5));
+    double at_opt = 0.0;
+    for (const auto& c : row.coefficients) {
+      at_opt += c.value * first.x[static_cast<std::size_t>(c.var)];
+    }
+    if (at_opt > row.rhs + 1e-3) grown.add_row(std::move(row));
+  }
+  // Moved right-hand sides: every original row tightened halfway toward
+  // the interior point's activity.
+  Model moved(Sense::kMaximize);
+  for (const Variable& v : m.variables()) {
+    moved.add_variable(v.lower, v.upper, v.objective);
+  }
+  for (Row row : m.rows()) {
+    double lhs = 0.0;
+    for (const auto& c : row.coefficients) {
+      lhs += c.value * interior[static_cast<std::size_t>(c.var)];
+    }
+    row.rhs = 0.5 * (row.rhs + lhs);
+    moved.add_row(std::move(row));
+  }
+  for (const Model* changed : {&grown, &moved}) {
+    const Solution cold = SimplexSolver().solve(*changed);
+    const Solution warm = SimplexSolver().solve(*changed, &basis, nullptr);
+    ASSERT_EQ(cold.status, SolveStatus::kOptimal) << "seed " << GetParam();
+    ASSERT_EQ(warm.status, SolveStatus::kOptimal) << "seed " << GetParam();
+    EXPECT_NEAR(warm.objective, cold.objective, 1e-7) << "seed " << GetParam();
+    EXPECT_LT(changed->max_violation(warm.x), 1e-6) << "seed " << GetParam();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DualPhaseWarmStartProperty,
+                         ::testing::Range(1, 65));
+
 // Property: LP duality. For random feasible bounded problems, verify weak
 // duality via the dual values: obj == sum(duals * rhs) + bound terms is hard
 // in general, so instead verify the shadow-price property numerically.
