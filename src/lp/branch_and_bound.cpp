@@ -138,7 +138,6 @@ Solution BranchAndBound::solve_direct(const Model& model) const {
   bool hit_node_limit = false;
   int total_pivots = 0;
   int total_reinversions = 0;
-  int total_lu_reinversions = 0;
   int eta_peak = 0;
 
   std::vector<Scratch> slots;
@@ -186,7 +185,6 @@ Solution BranchAndBound::solve_direct(const Model& model) const {
       const Solution& relax = result.relax;
       total_pivots += relax.iterations;
       total_reinversions += relax.reinversions;
-      total_lu_reinversions += relax.lu_reinversions;
       eta_peak = std::max(eta_peak, relax.eta_peak);
       if (relax.status == SolveStatus::kUnbounded) {
         // An unbounded relaxation at the root means the MIP itself may be
@@ -196,7 +194,6 @@ Solution BranchAndBound::solve_direct(const Model& model) const {
           out.status = SolveStatus::kUnbounded;
           out.iterations = total_pivots;
           out.reinversions = total_reinversions;
-          out.lu_reinversions = total_lu_reinversions;
           out.eta_peak = eta_peak;
           out.nodes_explored = nodes;
           return out;
@@ -243,7 +240,6 @@ Solution BranchAndBound::solve_direct(const Model& model) const {
     if (hit_node_limit) incumbent.status = SolveStatus::kIterationLimit;
     incumbent.iterations = total_pivots;
     incumbent.reinversions = total_reinversions;
-    incumbent.lu_reinversions = total_lu_reinversions;
     incumbent.eta_peak = eta_peak;
     incumbent.nodes_explored = nodes;
     return incumbent;
@@ -253,7 +249,6 @@ Solution BranchAndBound::solve_direct(const Model& model) const {
       hit_node_limit ? SolveStatus::kIterationLimit : SolveStatus::kInfeasible;
   out.iterations = total_pivots;
   out.reinversions = total_reinversions;
-  out.lu_reinversions = total_lu_reinversions;
   out.eta_peak = eta_peak;
   out.nodes_explored = nodes;
   return out;

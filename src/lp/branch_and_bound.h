@@ -31,8 +31,8 @@ struct BranchAndBoundOptions {
 // Node relaxations are evaluated in deterministic parallel waves (see
 // BranchAndBoundOptions::wave_size). The returned Solution aggregates work
 // counters across every node relaxation: `iterations` (total simplex
-// pivots), `reinversions` / `lu_reinversions` (summed), `eta_peak` (maxed)
-// and `nodes_explored`.
+// pivots), `reinversions` (summed sparse-LU anchor rebuilds), `eta_peak`
+// (maxed) and `nodes_explored`.
 //
 // When `options.simplex.presolve` is set, the model is run through
 // lp::presolve first and the branch-and-bound search operates on the

@@ -94,15 +94,13 @@ struct Solution {
   // Simplex pivots spent. For a branch-and-bound solve this is the total
   // across every node relaxation, not just the incumbent's.
   int iterations = 0;
-  // Kernel work counters: anchor reinversions performed and the longest
-  // eta file reached between them (0 under the dense kernel). For
-  // branch-and-bound, summed / maxed across node relaxations.
+  // Kernel work counters: anchor reinversions performed (each one a sparse
+  // LU factorization under the eta kernel, a dense Gauss-Jordan inverse
+  // under the dense reference kernel) and the longest eta file reached
+  // between them (0 under the dense kernel). For branch-and-bound, summed /
+  // maxed across node relaxations.
   int reinversions = 0;
   int eta_peak = 0;
-  // Reinversions that built a sparse LU anchor (eta kernel at or above
-  // SimplexOptions::lu_threshold rows) — lets tests and the bench assert
-  // the LU anchor actually engaged. Summed across branch-and-bound nodes.
-  int lu_reinversions = 0;
   // Branch-and-bound nodes popped from the best-first queue (0 for pure LP
   // solves).
   int nodes_explored = 0;

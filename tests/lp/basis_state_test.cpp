@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -98,102 +97,89 @@ INSTANTIATE_TEST_SUITE_P(Kernels, ScaledBasisRegression,
                                            BasisKernel::kEtaFile));
 
 TEST(BasisStateLuAnchorTest, ScaledAndSingularBasesUnderLuAnchor) {
-  // The same two regressions with the sparse LU forced as the anchor.
+  // A singular basis fails the LU without counting as a reinversion, and
+  // the same state factorizes the next good basis cleanly.
   BasisState basis;
-  basis.configure(BasisKernel::kEtaFile, 128, /*lu_threshold=*/1);
+  basis.configure(BasisKernel::kEtaFile, 128);
 
   const auto tiny = scaled_basis(10, 1e-13, 42);
   ASSERT_TRUE(basis.refactorize(column_pointers(tiny)));
-  EXPECT_TRUE(basis.anchor_is_lu());
-  EXPECT_EQ(basis.stats().lu_reinversions, 1);
+  EXPECT_EQ(basis.stats().reinversions, 1);
 
   auto singular = scaled_basis(8, 1.0, 11);
   singular[5] = singular[1];
   EXPECT_FALSE(basis.refactorize(column_pointers(singular)));
+  EXPECT_EQ(basis.stats().reinversions, 1);
+
+  ASSERT_TRUE(basis.refactorize(column_pointers(tiny)));
+  EXPECT_EQ(basis.stats().reinversions, 2);
+  std::vector<double> x(10, 0.0);
+  basis.ftran({{3, 1.0}}, x);
+  std::vector<double> rhs(10, 0.0);
+  rhs[3] = 1.0;
+  EXPECT_LT(ftran_residual(tiny, x, rhs), 1e-6);
 }
 
-TEST(BasisStateLuAnchorTest, ThresholdSelectsAnchor) {
-  const auto cols = scaled_basis(6, 1.0, 3);
+// The LU anchor and the dense reference kernel represent the same B^-1:
+// ftran, btran, pivot_row, and apply_inverse must agree to rounding.
+void expect_lu_matches_dense(const std::vector<std::vector<Coefficient>>& cols,
+                             std::uint64_t seed) {
+  const int dim = static_cast<int>(cols.size());
   const auto ptrs = column_pointers(cols);
-
-  BasisState below;
-  below.configure(BasisKernel::kEtaFile, 128, /*lu_threshold=*/7);
-  ASSERT_TRUE(below.refactorize(ptrs));
-  EXPECT_FALSE(below.anchor_is_lu());
-  EXPECT_EQ(below.stats().lu_reinversions, 0);
-
-  BasisState at;
-  at.configure(BasisKernel::kEtaFile, 128, /*lu_threshold=*/6);
-  ASSERT_TRUE(at.refactorize(ptrs));
-  EXPECT_TRUE(at.anchor_is_lu());
-  EXPECT_EQ(at.stats().lu_reinversions, 1);
-
-  // The dense kernel never routes through the LU regardless of threshold.
   BasisState dense;
-  dense.configure(BasisKernel::kDenseBinv, 128, /*lu_threshold=*/1);
+  dense.configure(BasisKernel::kDenseBinv, 128);
   ASSERT_TRUE(dense.refactorize(ptrs));
-  EXPECT_FALSE(dense.anchor_is_lu());
+  BasisState lu;
+  lu.configure(BasisKernel::kEtaFile, 128);
+  ASSERT_TRUE(lu.refactorize(ptrs));
+  const auto expect_close = [&](const std::vector<double>& a,
+                                const std::vector<double>& b,
+                                const char* what) {
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_NEAR(a[i], b[i], 1e-9) << what << "[" << i << "] m=" << dim;
+    }
+  };
+
+  util::Rng rng(seed);
+  std::vector<Coefficient> a;
+  for (int i = 0; i < dim; ++i) {
+    if (rng.bernoulli(0.4)) a.push_back({i, rng.uniform(-2.0, 2.0)});
+  }
+  std::vector<double> wa(static_cast<std::size_t>(dim), 0.0);
+  std::vector<double> wb(static_cast<std::size_t>(dim), 0.0);
+  dense.ftran(a, wa);
+  lu.ftran(a, wb);
+  expect_close(wa, wb, "ftran");
+
+  std::vector<double> v(static_cast<std::size_t>(dim));
+  for (double& vi : v) vi = rng.uniform(-1.0, 1.0);
+  std::vector<double> ya;
+  std::vector<double> yb;
+  dense.btran(v, ya);
+  lu.btran(v, yb);
+  expect_close(ya, yb, "btran");
+
+  for (int r = 0; r < dim; ++r) {
+    dense.pivot_row(r, ya);
+    lu.pivot_row(r, yb);
+    expect_close(ya, yb, "pivot_row");
+  }
+
+  dense.apply_inverse(v, ya);
+  lu.apply_inverse(v, yb);
+  expect_close(ya, yb, "apply_inverse");
 }
 
 TEST(BasisStateLuAnchorTest, AnchorsAgreeOnSolves) {
-  // Explicit-inverse anchor and LU anchor represent the same B^-1: ftran,
-  // btran, pivot_row, and apply_inverse must agree to rounding.
-  constexpr int kDim = 24;
-  const auto cols = scaled_basis(kDim, 1.0, 17);
-  const auto ptrs = column_pointers(cols);
+  expect_lu_matches_dense(scaled_basis(24, 1.0, 17), 23);
+}
 
-  BasisState explicit_anchor;
-  explicit_anchor.configure(BasisKernel::kEtaFile, 128, INT_MAX);
-  ASSERT_TRUE(explicit_anchor.refactorize(ptrs));
-  BasisState lu_anchor;
-  lu_anchor.configure(BasisKernel::kEtaFile, 128, 1);
-  ASSERT_TRUE(lu_anchor.refactorize(ptrs));
-
-  util::Rng rng(23);
-  std::vector<Coefficient> a;
-  for (int i = 0; i < kDim; ++i) {
-    if (rng.bernoulli(0.4)) a.push_back({i, rng.uniform(-2.0, 2.0)});
-  }
-  std::vector<double> wa(kDim, 0.0);
-  std::vector<double> wb(kDim, 0.0);
-  explicit_anchor.ftran(a, wa);
-  lu_anchor.ftran(a, wb);
-  for (int i = 0; i < kDim; ++i) {
-    EXPECT_NEAR(wa[static_cast<std::size_t>(i)], wb[static_cast<std::size_t>(i)],
-                1e-9)
-        << "ftran[" << i << "]";
-  }
-
-  std::vector<double> v(kDim);
-  for (int i = 0; i < kDim; ++i) v[static_cast<std::size_t>(i)] = rng.uniform(-1.0, 1.0);
-  std::vector<double> ya;
-  std::vector<double> yb;
-  explicit_anchor.btran(v, ya);
-  lu_anchor.btran(v, yb);
-  for (int i = 0; i < kDim; ++i) {
-    EXPECT_NEAR(ya[static_cast<std::size_t>(i)], yb[static_cast<std::size_t>(i)],
-                1e-9)
-        << "btran[" << i << "]";
-  }
-
-  std::vector<double> ra;
-  std::vector<double> rb;
-  explicit_anchor.pivot_row(5, ra);
-  lu_anchor.pivot_row(5, rb);
-  for (int i = 0; i < kDim; ++i) {
-    EXPECT_NEAR(ra[static_cast<std::size_t>(i)], rb[static_cast<std::size_t>(i)],
-                1e-9)
-        << "pivot_row[" << i << "]";
-  }
-
-  std::vector<double> xa;
-  std::vector<double> xb;
-  explicit_anchor.apply_inverse(v, xa);
-  lu_anchor.apply_inverse(v, xb);
-  for (int i = 0; i < kDim; ++i) {
-    EXPECT_NEAR(xa[static_cast<std::size_t>(i)], xb[static_cast<std::size_t>(i)],
-                1e-9)
-        << "apply_inverse[" << i << "]";
+TEST(BasisStateLuAnchorTest, SmallBasesAgreeWithDenseKernel) {
+  // The LU anchors every basis size, down to a single row.
+  for (int m = 1; m <= 16; ++m) {
+    const auto seed = static_cast<std::uint64_t>(m);
+    expect_lu_matches_dense(scaled_basis(m, 1.0, 300 + seed), 700 + seed);
   }
 }
 
@@ -255,11 +241,56 @@ void expect_pivot_rows_match_btran(const BasisState& basis, int m,
   }
 }
 
+TEST(BasisStateLuAnchorTest, OneAndTwoRowBasesSolveExactly) {
+  // B = [-4]: B^-1 = [-0.25]; every operation is exact in binary.
+  BasisState one;
+  one.configure(BasisKernel::kEtaFile, 128);
+  const std::vector<std::vector<Coefficient>> b1 = {{{0, -4.0}}};
+  ASSERT_TRUE(one.refactorize(column_pointers(b1)));
+  std::vector<double> w(1, 0.0);
+  one.ftran({{0, 2.0}}, w);
+  EXPECT_EQ(w[0], -0.5);
+  std::vector<double> y;
+  one.btran({1.0}, y);
+  ASSERT_EQ(y.size(), 1u);
+  EXPECT_EQ(y[0], -0.25);
+  expect_pivot_rows_match_btran(one, 1, "1x1 anchor");
+
+  // B = [[2, 1], [1, 3]] (column-major input), B^-1 = [[3, -1], [-1, 2]] / 5.
+  BasisState two;
+  two.configure(BasisKernel::kEtaFile, 128);
+  const std::vector<std::vector<Coefficient>> b2 = {{{0, 2.0}, {1, 1.0}},
+                                                    {{0, 1.0}, {1, 3.0}}};
+  ASSERT_TRUE(two.refactorize(column_pointers(b2)));
+  const double inv[2][2] = {{0.6, -0.2}, {-0.2, 0.4}};
+  for (int c = 0; c < 2; ++c) {
+    w.assign(2, 0.0);
+    two.ftran({{c, 1.0}}, w);  // column c of B^-1
+    std::vector<double> unit(2, 0.0);
+    unit[static_cast<std::size_t>(c)] = 1.0;
+    two.btran(unit, y);  // row c of B^-1
+    for (int r = 0; r < 2; ++r) {
+      EXPECT_NEAR(w[static_cast<std::size_t>(r)], inv[r][c], 1e-15)
+          << "ftran r=" << r << " c=" << c;
+      EXPECT_NEAR(y[static_cast<std::size_t>(r)], inv[c][r], 1e-15)
+          << "btran r=" << r << " c=" << c;
+    }
+  }
+  expect_pivot_rows_match_btran(two, 2, "2x2 anchor");
+  // One eta on top: pivot_row must still replay btran(e_r) exactly.
+  append_eta(two, 2, 1, 1.5, {{0, -0.5}});
+  expect_pivot_rows_match_btran(two, 2, "2x2 anchor + eta");
+  append_eta(one, 1, 0, 2.0, {});
+  expect_pivot_rows_match_btran(one, 1, "1x1 anchor + eta");
+}
+
+// Parameterized by the kernel's underlying value; only the eta kernel keeps
+// an eta file, so the suite instantiates it alone (under its historical
+// LuAnchor name).
 class PivotRowVsBtran : public ::testing::TestWithParam<int> {
  protected:
-  // lu_threshold: 1 forces the sparse LU anchor, INT_MAX the dense inverse.
   void configure(BasisState& basis, int refactor_interval) const {
-    basis.configure(BasisKernel::kEtaFile, refactor_interval, GetParam());
+    basis.configure(static_cast<BasisKernel>(GetParam()), refactor_interval);
   }
 };
 
@@ -395,12 +426,10 @@ TEST_P(PivotRowVsBtran, NewDimensionDiscardsStaleLookup) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Anchors, PivotRowVsBtran,
-                         ::testing::Values(1, INT_MAX),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return info.param == 1 ? std::string("LuAnchor")
-                                                  : std::string("DenseAnchor");
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Anchors, PivotRowVsBtran,
+    ::testing::Values(static_cast<int>(BasisKernel::kEtaFile)),
+    [](const ::testing::TestParamInfo<int>&) { return std::string("LuAnchor"); });
 
 }  // namespace
 }  // namespace prete::lp

@@ -9,20 +9,23 @@
 #include "util/rng.h"
 
 // Kernel-equivalence properties: the eta-file kernel (product-form inverse
-// with periodic/drift reinversion) and the dense-binv kernel (the historical
-// bit-compatible reference) must agree on every solve — same status, bitwise
-// the same objective, and the same point to tight tolerance — across random
-// models, cold and warm starts, and both pricing modes. The two kernels
-// represent the same inverse, so any disagreement beyond rounding is a bug
-// in the eta application order.
+// on a sparse LU anchor, with periodic/drift reinversion) and the dense-binv
+// kernel (the historical bit-stable reference) must agree on every solve —
+// same status, bitwise the same objective, and the same point to tight
+// tolerance — across random models, cold and warm starts, and both pricing
+// modes. The two kernels represent the same inverse, so any disagreement
+// beyond rounding is a bug in the LU solves or the eta application order.
 
 namespace prete::lp {
 namespace {
 
-Model random_feasible_lp(std::uint64_t seed) {
+// `rows` < 1 draws the row count from [3, 10]. The draw is taken either way,
+// so the rest of the model's random stream does not depend on `rows`.
+Model random_feasible_lp(std::uint64_t seed, int rows = 0) {
   util::Rng rng(seed);
   const int n = 4 + static_cast<int>(rng.next_below(8));
-  const int rows = 3 + static_cast<int>(rng.next_below(8));
+  const int drawn = 3 + static_cast<int>(rng.next_below(8));
+  if (rows < 1) rows = drawn;
 
   Model m(Sense::kMaximize);
   for (int j = 0; j < n; ++j) {
@@ -130,6 +133,29 @@ TEST_P(KernelEquivalenceProperty, EtaMatchesDenseWarmStart) {
   EXPECT_EQ(eta_warm.iterations, 0) << "optimal hint should not pivot";
 }
 
+TEST_P(KernelEquivalenceProperty, SmallBasesMatchDenseColdAndWarm) {
+  // One to sixteen rows, cold and warm, with a short interval so the small
+  // LU anchors are rebuilt mid-solve.
+  const int rows = 1 + (GetParam() - 1) % 16;
+  const Model m =
+      random_feasible_lp(static_cast<std::uint64_t>(1700 + GetParam()), rows);
+  ASSERT_EQ(m.num_rows(), rows);
+  SimplexOptions dense_opts = kernel_options(BasisKernel::kDenseBinv, -1);
+  SimplexOptions lu_opts = kernel_options(BasisKernel::kEtaFile, -1);
+  dense_opts.refactor_interval = 3;
+  lu_opts.refactor_interval = 3;
+  SimplexBasis lu_basis;
+  const Solution dense = SimplexSolver(dense_opts).solve(m);
+  const Solution lu = SimplexSolver(lu_opts).solve(m, nullptr, &lu_basis);
+  expect_equivalent(m, dense, lu, "small m cold");
+  EXPECT_LE(lu.eta_peak, lu_opts.refactor_interval);
+  if (lu.status != SolveStatus::kOptimal) return;
+  const Solution warm = SimplexSolver(lu_opts).solve(m, &lu_basis, nullptr);
+  expect_equivalent(m, dense, warm, "small m warm");
+  EXPECT_EQ(warm.iterations, 0) << "optimal hint should not pivot";
+  EXPECT_GE(warm.reinversions, 1) << "the hint is seated through the LU";
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelEquivalenceProperty,
                          ::testing::Range(1, 25));
 
@@ -142,15 +168,47 @@ TEST(KernelStatsTest, EtaPeakAndReinversionsReported) {
   if (s.iterations >= 4) {
     EXPECT_GE(s.reinversions, 1);
     EXPECT_GE(s.eta_peak, 1);
-    // The eta file survives the phase boundary (it IS the inverse) while the
-    // periodic counter resets per phase, so the peak can reach the tail of
-    // phase 1 plus a full phase-2 interval.
-    EXPECT_LE(s.eta_peak, 2 * 4);
+    // The eta file survives the phase boundary (it IS the inverse), and so
+    // does the periodic counter: the file never outgrows the interval.
+    EXPECT_LE(s.eta_peak, options.refactor_interval);
   }
   // The dense kernel never grows an eta file.
   const Solution dense =
       SimplexSolver(kernel_options(BasisKernel::kDenseBinv, -1)).solve(m);
   EXPECT_EQ(dense.eta_peak, 0);
+}
+
+// Phase 1 -> dual -> phase 2. Phase 1 cannot price `t` in (its reduced cost
+// -1e-8 is inside the optimality tolerance), so it ends with the tiny row's
+// artificial basic at a 5e-6 residue; locked at zero, that artificial is
+// driven out by the dual phase, and phase 2 then pivots once more. The
+// periodic counter runs across all three phases, so the eta file never holds
+// more than `refactor_interval` etas even though no phase alone reaches it.
+TEST(KernelStatsTest, EtaFileBoundedAcrossPhase1DualAndPhase2) {
+  Model m(Sense::kMinimize);
+  const int x0 = m.add_variable(0.0, 10.0, 1.0);
+  const int x1 = m.add_variable(0.0, 10.0, 2.0);
+  const int x2 = m.add_variable(0.0, 10.0, -1.0);
+  const int x3 = m.add_variable(0.0, 10.0, -1.0);
+  const int x4 = m.add_variable(0.0, 10.0, 3.0);
+  const int t = m.add_variable(0.0, 1000.0, 0.0);
+  m.add_row({{x0, 1.0}, {x1, 1.0}}, RowType::kGreaterEqual, 4.0);
+  m.add_row({{x1, 1.0}, {x4, 1.0}}, RowType::kGreaterEqual, 3.0);
+  m.add_row({{x0, 1.0}, {x4, 1.0}}, RowType::kGreaterEqual, 5.0);
+  m.add_row({{x2, 1.0}, {x0, -1.0}}, RowType::kLessEqual, 2.0);
+  m.add_row({{x3, 1.0}, {x2, 1.0}, {x1, -1.0}}, RowType::kLessEqual, 6.0);
+  m.add_row({{t, 1e-8}}, RowType::kEqual, 5e-6);
+  for (const int interval : {2, 3}) {
+    SimplexOptions options = kernel_options(BasisKernel::kEtaFile, -1);
+    options.refactor_interval = interval;
+    const Solution s = SimplexSolver(options).solve(m);
+    ASSERT_EQ(s.status, SolveStatus::kOptimal) << "interval " << interval;
+    EXPECT_NEAR(s.x[static_cast<std::size_t>(t)], 500.0, 1e-6)
+        << "the dual phase must drive the residue out";
+    EXPECT_NEAR(s.objective, 2.0, 1e-9) << "interval " << interval;
+    EXPECT_GE(s.iterations, 7) << "all three phases pivot";
+    EXPECT_LE(s.eta_peak, interval) << "interval " << interval;
+  }
 }
 
 // Drift regression: a cascading equality chain with factor 3e4 per row makes
