@@ -47,10 +47,14 @@ void LuFactorization::reset_diagonal(int m, const std::vector<double>& signs) {
 
 bool LuFactorization::factorize(
     const std::vector<const std::vector<Coefficient>*>& basis_columns,
-    util::Arena& arena) {
+    util::Arena& arena, Deficiency* deficiency) {
   const int m = static_cast<int>(basis_columns.size());
   m_ = m;
   arena.reset();
+  if (deficiency != nullptr) {
+    deficiency->columns.clear();
+    deficiency->rows.clear();
+  }
 
   pr_.clear();
   pc_.clear();
@@ -88,17 +92,27 @@ bool LuFactorization::factorize(
   }
   stats_.nnz_input = nnz;
 
+  // A zero row is never pivoted and a zero column never chosen: both make
+  // the basis singular, and a reported deficiency lists them.
   RowRef* rows = arena.allocate_array<RowRef>(static_cast<std::size_t>(m));
   for (int i = 0; i < m; ++i) {
-    if (row_count_[static_cast<std::size_t>(i)] == 0) return false;  // zero row
+    if (row_count_[static_cast<std::size_t>(i)] == 0 && deficiency == nullptr) {
+      return false;
+    }
     rows[i].data = arena.allocate_array<RowEntry>(
         static_cast<std::size_t>(row_count_[static_cast<std::size_t>(i)]));
     rows[i].len = 0;
   }
   std::vector<util::ArenaVector<int>> col_rows;
   col_rows.reserve(static_cast<std::size_t>(m));
+  int set_aside = 0;  // dependent columns dropped from the elimination
   for (int c = 0; c < m; ++c) {
-    if (col_scale_[static_cast<std::size_t>(c)] == 0.0) return false;  // zero col
+    if (col_scale_[static_cast<std::size_t>(c)] == 0.0) {
+      if (deficiency == nullptr) return false;
+      col_active_[static_cast<std::size_t>(c)] = 0;
+      deficiency->columns.push_back(c);
+      ++set_aside;
+    }
     col_rows.emplace_back(arena);
   }
   for (int c = 0; c < m; ++c) {
@@ -126,7 +140,7 @@ bool LuFactorization::factorize(
 
   int candidates[kSearchColumns];
 
-  for (int k = 0; k < m; ++k) {
+  while (static_cast<int>(pr_.size()) + set_aside < m) {
     // Candidate columns: the kSearchColumns active columns with the smallest
     // (col_count, index), by insertion sort over one linear scan.
     int num_candidates = 0;
@@ -152,6 +166,7 @@ bool LuFactorization::factorize(
     int best_row = -1;
     int best_col = -1;
     double best_val = 0.0;
+    int collapsed = -1;
     for (int cand = 0; cand < num_candidates; ++cand) {
       const int c = candidates[cand];
       // Early exit: candidates are count-sorted, and (cc - 1) alone already
@@ -170,7 +185,8 @@ bool LuFactorization::factorize(
       // Relative singularity: the active column's magnitude collapsed
       // against its input scale — elimination cancelled it away.
       if (colmax <= kSingularTol * col_scale_[static_cast<std::size_t>(c)]) {
-        return false;
+        collapsed = c;
+        break;
       }
       const double admit = kPivotTol * colmax;
       for (std::size_t p = 0; p < adj.size(); ++p) {
@@ -192,6 +208,14 @@ bool LuFactorization::factorize(
           best_val = val;
         }
       }
+    }
+    if (collapsed >= 0) {
+      if (deficiency == nullptr) return false;
+      // Set the dependent column aside and pick again.
+      col_active_[static_cast<std::size_t>(collapsed)] = 0;
+      deficiency->columns.push_back(collapsed);
+      ++set_aside;
+      continue;
     }
     if (best_row < 0) return false;
 
@@ -271,6 +295,12 @@ bool LuFactorization::factorize(
     l_start_.push_back(static_cast<int>(l_idx_.size()));
   }
 
+  if (set_aside > 0) {
+    for (int i = 0; i < m; ++i) {
+      if (row_active_[static_cast<std::size_t>(i)]) deficiency->rows.push_back(i);
+    }
+    return false;
+  }
   stats_.nnz_factors =
       static_cast<int>(l_idx_.size() + u_idx_.size()) + m;
   return true;

@@ -290,18 +290,86 @@ TEST_P(DualPhaseWarmStartProperty, AppendedRowsAndMovedRhsMatchCold) {
     row.rhs = 0.5 * (row.rhs + lhs);
     moved.add_row(std::move(row));
   }
-  for (const Model* changed : {&grown, &moved}) {
-    const Solution cold = SimplexSolver().solve(*changed);
-    const Solution warm = SimplexSolver().solve(*changed, &basis, nullptr);
-    ASSERT_EQ(cold.status, SolveStatus::kOptimal) << "seed " << GetParam();
-    ASSERT_EQ(warm.status, SolveStatus::kOptimal) << "seed " << GetParam();
-    EXPECT_NEAR(warm.objective, cold.objective, 1e-7) << "seed " << GetParam();
-    EXPECT_LT(changed->max_violation(warm.x), 1e-6) << "seed " << GetParam();
+  // Both pricing rules: devex also picks the dual phase's leaving rows by
+  // dual devex weights, Dantzig by the largest violation.
+  for (const PricingRule rule : {PricingRule::kDantzig, PricingRule::kDevex}) {
+    SimplexOptions options;
+    options.pricing = rule;
+    for (const Model* changed : {&grown, &moved}) {
+      const Solution cold = SimplexSolver(options).solve(*changed);
+      const Solution warm =
+          SimplexSolver(options).solve(*changed, &basis, nullptr);
+      ASSERT_EQ(cold.status, SolveStatus::kOptimal) << "seed " << GetParam();
+      ASSERT_EQ(warm.status, SolveStatus::kOptimal) << "seed " << GetParam();
+      EXPECT_NEAR(warm.objective, cold.objective, 1e-7)
+          << "seed " << GetParam();
+      EXPECT_LT(changed->max_violation(warm.x), 1e-6) << "seed " << GetParam();
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DualPhaseWarmStartProperty,
                          ::testing::Range(1, 65));
+
+// A truncated hint (the Benders carry whose row replay stopped early) can
+// leave a row whose own slack is basic in another row, or keep hinted
+// columns that are independent only on the dropped rows. Both are repaired
+// with slacks of rows the LU leaves unpivoted instead of abandoning the hint
+// for the all-artificial start. Here each repaired basis is optimal or one
+// pivot away, while a cold start needs a phase 1.
+TEST(WarmStartRepairTest, ClashingSlackAndSingularHintsStayWarm) {
+  // max x0 + x1, x0 in [0, 5], x1 in [0, 10]; x1 <= 3; x0 + x1 <= 100.
+  // Optimum 8: x0 at its upper bound, x1 = 3 basic in row 0.
+  Model m(Sense::kMaximize);
+  m.add_variable(0.0, 5.0, 1.0);
+  m.add_variable(0.0, 10.0, 1.0);
+  m.add_row({{1, 1.0}}, RowType::kLessEqual, 3.0);
+  m.add_row({{0, 1.0}, {1, 1.0}}, RowType::kLessEqual, 100.0);
+  const Solution cold = SimplexSolver().solve(m);
+  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+  EXPECT_DOUBLE_EQ(cold.objective, 8.0);
+
+  using Status = SimplexBasis::Status;
+  using Kind = SimplexBasis::Kind;
+  // Row 0 is uncovered and its slack is basic in row 1: a clash. The repair
+  // seats row 1's slack instead; x1 then enters in one pivot.
+  SimplexBasis clash;
+  clash.structural_status = {Status::kAtUpper, Status::kAtLower};
+  clash.slack_status = {Status::kBasic, Status::kAtLower};
+  clash.basic = {{Kind::kArtificial, 0}, {Kind::kSlack, 0}};
+  const Solution from_clash = SimplexSolver().solve(m, &clash, nullptr);
+  ASSERT_EQ(from_clash.status, SolveStatus::kOptimal);
+  EXPECT_DOUBLE_EQ(from_clash.objective, 8.0);
+  EXPECT_EQ(from_clash.iterations, 1);
+  EXPECT_LT(from_clash.iterations, cold.iterations);
+
+  // x1 and its duplicate x2 hinted basic: singular on these rows. The
+  // repair keeps one of them and seats an unpivoted row's slack; the result
+  // is the optimal basis.
+  Model twin(Sense::kMaximize);
+  twin.add_variable(0.0, 5.0, 1.0);
+  twin.add_variable(0.0, 10.0, 1.0);
+  twin.add_variable(0.0, 10.0, 1.0);
+  twin.add_row({{1, 1.0}, {2, 1.0}}, RowType::kLessEqual, 3.0);
+  twin.add_row({{0, 1.0}, {1, 1.0}, {2, 1.0}}, RowType::kLessEqual, 100.0);
+  const Solution twin_cold = SimplexSolver().solve(twin);
+  ASSERT_EQ(twin_cold.status, SolveStatus::kOptimal);
+  SimplexBasis singular;
+  singular.structural_status = {Status::kAtUpper, Status::kBasic,
+                                Status::kBasic};
+  singular.slack_status = {Status::kAtLower, Status::kAtLower};
+  singular.basic = {{Kind::kStructural, 1}, {Kind::kStructural, 2}};
+  for (const BasisKernel kernel :
+       {BasisKernel::kEtaFile, BasisKernel::kDenseBinv}) {
+    SimplexOptions options;
+    options.kernel = kernel;
+    const Solution warm = SimplexSolver(options).solve(twin, &singular, nullptr);
+    ASSERT_EQ(warm.status, SolveStatus::kOptimal);
+    EXPECT_DOUBLE_EQ(warm.objective, twin_cold.objective);
+    EXPECT_EQ(warm.iterations, 0);
+    EXPECT_LT(warm.iterations, twin_cold.iterations);
+  }
+}
 
 // Property: LP duality. For random feasible bounded problems, verify weak
 // duality via the dual values: obj == sum(duals * rhs) + bound terms is hard
